@@ -1,35 +1,33 @@
 """Differential tests for the struct-of-arrays flow-network kernel.
 
-The SoA kernel in :mod:`repro.simcore.flownet` claims *bit identity*
-with the retired object-graph kernel (kept verbatim as
-``flownet_legacy.LegacyFlowNetwork`` behind ``REPRO_FLOWNET=legacy``).
-These tests pin that claim three independent ways:
+The kernel in :mod:`repro.simcore.flownet` claims *bit identity*
+between its scalar and vectorized code paths, and with committed
+goldens.  These tests pin that claim three independent ways:
 
 * randomized topologies — steady-state rates and churn completion
-  times must match the legacy kernel exactly (``==``, not approx) and
-  an independent brute-force water-filler approximately;
-* the scalar and vectorized code paths inside the SoA kernel must
-  agree bit-for-bit (thresholds pinned low to force the vector paths
-  on small populations);
-* the 20 golden end-to-end scenarios must produce identical telemetry
-  hash-chains under both kernels, and serial vs parallel sweeps must
-  agree under the new kernel.
+  times must agree exactly (``==``, not approx) between the scalar and
+  vectorized paths (thresholds pinned low to force the vector paths on
+  small populations) and hash to the committed digests; steady rates
+  must also match an independent brute-force water-filler
+  approximately;
+* the 20 golden end-to-end scenarios must reproduce their committed
+  telemetry hash-chains;
+* serial vs parallel sweeps must agree cell for cell.
 
-Satellite invariants for the projected-completion heap ride along: a
-flow completed in a same-timestamp batch can never fire a wake (its
-position is -1, so its heap entries are discarded on pop), and
-surviving projections that lag ``now`` by float drift are clamped to
-a strictly positive delay.
+The digests were recorded while the retired object-graph kernel still
+ran side by side with this one; both produced every one of them.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_sweep
+from repro.experiments import run_sweep
 from repro.simcore import Environment, FlowNetwork, Link
 from tests.simcore.test_flownet_invariants import reference_fill
 from tests.test_observability_invariance import (
+    GOLDEN_CHAINS,
     SCENARIOS,
     _config,
     _hash_chain,
@@ -39,19 +37,56 @@ from tests.test_observability_invariance import (
 #: Huge payload so no flow finishes while steady-state rates are read.
 _NEVER_FINISH = 1e18
 
+#: sha256 of ``repr`` of each trial's steady-rate list.
+STEADY_DIGESTS = [
+    "114c71b76be1b921c080069ea360f12a3269d7f2df13459be7bb08c71e9ab4b5",
+    "4e3402c03a9864d85406256d6421020e854090d9153e9a0f3f3ba7fdbfb8747b",
+    "84d9320b41b9de89be352afd647ed334904816cf692c38b645dd4295c60c6cc4",
+    "aa80e0be287801507cd1d6a5429a786ef78254fc66a0b39793e569fe79602c73",
+    "e0e916870d2b4aa52aa0189bc7e945e52f48fc5b048174bbaeecbcfea64538a8",
+    "c833a089eb455d5f546fef4281cdcd523ab03bbc50b5310df7afbc4127e81857",
+    "7caabb803c3a7f3a4e8eee927b9840aa7c0ddd5daffadac36c5641e6a58cf940",
+    "51da1c90c48001719e63655ef7d443b408566dd229dc2798755a17b92e8b2cd9",
+    "635c1a03ffba5b866bd7151f9f5b0950596fd0b5024ec648a86a83aa3569b2da",
+    "8e8324eef2ffb4eb09f195a016ca4e217424c626e169dfd36d53c0cdb74dc1f0",
+    "715441599735fe89c1bf300e36bcdf5717890a363adfbe6ea4cb39030786ed47",
+    "ef49a81890ead6d91573f9ebd1fc5de255548a00c98d6461462794baac2c6386",
+    "ca172b1399f725be0dd0d999478c305bd79eac11d106714d444c64bd1b26b123",
+    "0427a66e3214a990abe6856fb8e8eac50f496f0fd0da6010edc2c4887a5e2536",
+    "4f5b8df6699862c985128a905573718f2a518e1b9f526a7f52b00af248a1c148",
+]
 
-@pytest.fixture
-def legacy_kernel(monkeypatch):
-    """Route FlowNetwork construction to the legacy object-graph kernel."""
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
+#: sha256 of ``repr`` of each trial's ``(log, total_bytes_moved,
+#: total_flows)`` churn outcome.
+CHURN_DIGESTS = [
+    "0c464047bf893079b9bebfd2b79ec710898155487c1d67158abb242c81bd5505",
+    "7ff5a6a4821f5f51dcf7cadba20296c75691f551715fa405b7c51680ec4c48f1",
+    "5618ace25c9166e15b2452b299803b65b92626339ff87611b5291640559e787c",
+    "755a6a2f4b080b7e90469c10581cf92cffd6e15aadb77a2229498f4a7f228c51",
+    "846d333b7c67aa35c13dbbabaec1f7ba72397e4efa88b484b57e5c87aaed1df6",
+    "7396be1e5dcaec96110879cacc29c7bde07dd206c6999d1c062dd699491bdba1",
+    "144ced18a41e80a5d4df1d00e6684f65f1002c631da9523a698f8bda1942ea59",
+    "2c3b485900c1da5a1aafc5e73bf64c5a1ec72df5d88e447b8ea3af1d5921048f",
+    "600cbb8652eb87f3592b6d7f3a9b7bb507b472b9687239f6a01c40037d91185a",
+    "78c6486b01efb0ea9a8930af718fabf335c762fad9d2b5e1ee8ec5b17ed0a131",
+]
 
 
-@pytest.fixture
-def forced_vector(monkeypatch):
-    """Pin the SoA thresholds so even tiny populations take the
-    vectorized sync/fill paths."""
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _scalar_and_vector(run, monkeypatch):
+    """``run()`` with the default thresholds, then with them pinned so
+    even tiny populations take the vectorized sync/fill paths; the two
+    results must be bit-identical."""
+    scalar = run()
     monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
     monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
+    vector = run()
+    monkeypatch.undo()
+    assert scalar == vector
+    return scalar
 
 
 def _random_specs(rng):
@@ -81,27 +116,18 @@ def _steady_rates(caps, specs):
 
 @pytest.mark.parametrize("trial", range(15))
 def test_steady_rates_bit_identical_across_kernels(trial, monkeypatch):
-    """SoA scalar == SoA vector == legacy, and all ≈ brute force."""
+    """Scalar == vector == committed digest, and all ≈ brute force."""
     rng = random.Random(52000 + trial)
     caps, specs = _random_specs(rng)
 
-    scalar = _steady_rates(caps, specs)
-
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
-    vector = _steady_rates(caps, specs)
-    monkeypatch.undo()
-
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-    legacy = _steady_rates(caps, specs)
-
-    assert scalar == vector
-    assert scalar == legacy
+    rates = _scalar_and_vector(lambda: _steady_rates(caps, specs),
+                               monkeypatch)
+    assert _digest(rates) == STEADY_DIGESTS[trial]
 
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     ref_specs = [([links[i] for i in path], cap) for path, cap in specs]
     want = reference_fill(ref_specs)
-    for got, expected in zip(scalar, want):
+    for got, expected in zip(rates, want):
         assert got == pytest.approx(expected, rel=1e-6, abs=1e-3)
 
 
@@ -155,75 +181,26 @@ def test_churn_completions_bit_identical_across_kernels(trial, monkeypatch):
     exactly under churn — including zero-byte and sub-epsilon payloads
     arriving inside same-timestamp waves."""
     caps, script = _churn_script(random.Random(61000 + trial))
-
-    scalar = _run_churn(caps, script)
-
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
-    vector = _run_churn(caps, script)
-    monkeypatch.undo()
-
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-    legacy = _run_churn(caps, script)
-
-    assert scalar == vector
-    assert scalar == legacy
-
-
-@pytest.mark.parametrize("mode", ["exact", "projected"])
-def test_completion_modes_agree_under_batching(mode, monkeypatch):
-    """Both completion schedulers survive the same churn script with
-    identical results under forced-vector batching."""
-    caps, script = _churn_script(random.Random(77))
-
-    def run(completion_mode):
-        env = Environment()
-        net = FlowNetwork(env, completion_mode=completion_mode)
-        links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
-        log = []
-
-        def driver():
-            pending = []
-            for idx, (path, nbytes, cap, delay) in enumerate(script):
-                done = net.transfer([links[i] for i in path], nbytes,
-                                    max_rate=cap)
-                done.callbacks.append(
-                    lambda _ev, idx=idx: log.append((idx, env.now)))
-                pending.append(done)
-                if delay:
-                    yield env.timeout(delay)
-            yield env.all_of(pending)
-
-        env.process(driver())
-        env.run()
-        return log
-
-    monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
-    got = run(mode)
-    finished = {idx for idx, _t in got}
-    assert finished == set(range(len(script)))
-    # Completion *times* agree across modes (order may differ only
-    # within a timestamp for the projected heap; it does not here).
-    assert sorted(got) == sorted(run("exact" if mode == "projected"
-                                     else "projected"))
+    outcome = _scalar_and_vector(lambda: _run_churn(caps, script),
+                                 monkeypatch)
+    assert _digest(outcome) == CHURN_DIGESTS[trial]
 
 
 def test_zero_byte_transfer_is_immediate_in_both_kernels(monkeypatch):
     """A zero-byte transfer succeeds synchronously, counts in
-    ``total_flows``, and moves no bytes — same contract both kernels."""
-    for legacy in (False, True):
-        if legacy:
-            monkeypatch.setenv("REPRO_FLOWNET", "legacy")
+    ``total_flows``, and moves no bytes — on the scalar and the
+    vectorized paths alike."""
+    def run():
         env = Environment()
         net = FlowNetwork(env)
         link = Link("l", 10.0)
         done = net.transfer((link,), 0.0)
         assert done.triggered
-        assert net.total_flows == 1
-        assert net.total_bytes_moved == 0.0
         assert not net._flows
         assert not link._flows
+        return net.total_flows, net.total_bytes_moved
+
+    assert _scalar_and_vector(run, monkeypatch) == (1, 0.0)
 
 
 # -- golden end-to-end scenarios ------------------------------------------
@@ -232,20 +209,13 @@ def test_zero_byte_transfer_is_immediate_in_both_kernels(monkeypatch):
 @pytest.mark.parametrize(
     "scenario", SCENARIOS,
     ids=["{}-{}-n{}-s{}".format(*s) for s in SCENARIOS])
-def test_golden_scenarios_bit_identical_to_legacy(scenario, monkeypatch):
-    """Telemetry hash-chain, makespan, and cost agree with the legacy
-    kernel on every golden scenario."""
+def test_golden_scenarios_bit_identical_to_legacy(scenario):
+    """Every golden scenario reproduces the telemetry hash-chain (trace,
+    makespan, and cost) that the legacy kernel recorded."""
     app, storage, nodes, seed = scenario
-    workflow = small_workflow(app)
-    config = _config(app, storage, nodes, seed)
-
-    (soa,) = run_sweep([config], workflow=workflow)
-    monkeypatch.setenv("REPRO_FLOWNET", "legacy")
-    (legacy,) = run_sweep([config], workflow=workflow)
-
-    assert soa.run.makespan == legacy.run.makespan
-    assert soa.cost.per_second_total == legacy.cost.per_second_total
-    assert _hash_chain(soa) == _hash_chain(legacy)
+    (result,) = run_sweep([_config(app, storage, nodes, seed)],
+                          workflow=small_workflow(app))
+    assert _hash_chain(result) == GOLDEN_CHAINS[scenario]
 
 
 def test_sweep_digest_serial_vs_parallel_under_soa_kernel():
@@ -263,68 +233,3 @@ def test_sweep_digest_serial_vs_parallel_under_soa_kernel():
     parallel = run_sweep(configs, workflow_factory=small_workflow, jobs=2)
     assert ([_hash_chain(r) for r in serial]
             == [_hash_chain(r) for r in parallel])
-
-
-# -- projected-heap staleness invariants ----------------------------------
-
-
-def test_projected_wake_never_targets_batch_completed_flow():
-    """A same-timestamp batch that completes several flows leaves their
-    heap entries stale (position -1); every wake actually scheduled must
-    target a live, current-generation projection."""
-    env = Environment()
-    net = FlowNetwork(env, completion_mode="projected")
-    link = Link("l", 100.0)
-
-    orig = net._reschedule_projected
-    guards = []
-
-    def guarded():
-        orig()
-        if net._heap:
-            _when, _seq, gen, flow = net._heap[0]
-            pos = int(net._pos_of_id[flow.fid])
-            assert pos >= 0, "wake scheduled from a completed flow"
-            assert gen == int(net._f_gen[pos]), "wake from a stale rate"
-            guards.append(flow)
-
-    net._reschedule_projected = guarded
-
-    # Five equal flows finish together in one batch at t=70 while two
-    # stragglers (still holding valid projections) continue.
-    batch = [net.transfer((link,), 1000.0) for _ in range(5)]
-    stragglers = [net.transfer((link,), 5000.0) for _ in range(2)]
-    env.run(env.all_of(batch))
-    assert len(net._flows) == 2
-    env.run(env.all_of(stragglers))
-    assert not net._flows
-    assert guards, "instrumented reschedule never ran"
-    # Whatever the heap still holds is provably stale.
-    for _when, _seq, _gen, flow in net._heap:
-        assert int(net._pos_of_id[flow.fid]) < 0
-
-
-def test_projected_drift_is_clamped_at_batch_boundary():
-    """A surviving projection that lags ``now`` by float drift must be
-    clamped to a strictly positive delay — the wake may never schedule
-    at or before the current timestamp."""
-    env = Environment()
-    net = FlowNetwork(env, completion_mode="projected")
-    link = Link("l", 10.0)
-    net.transfer((link,), _NEVER_FINISH)
-    env.run(until=100.0)
-
-    flow = next(iter(net._flows))
-    pos = int(net._pos_of_id[flow.fid])
-    # Forge a projection an ulp in the past but otherwise valid.
-    net._heap_seq += 1
-    net._heap.insert(0, (env.now - 1e-12, net._heap_seq,
-                         int(net._f_gen[pos]), flow))
-    net._heap.sort()
-    net._reschedule_projected()
-
-    wake = net._wake_event
-    entries = [when for when, _p, _s, ev in env._queue if ev is wake]
-    assert entries, "reschedule did not arm a wake"
-    assert entries[0] > env.now
-    assert entries[0] == pytest.approx(env.now + 1e-9, abs=1e-12)

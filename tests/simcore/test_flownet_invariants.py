@@ -183,7 +183,6 @@ def test_max_rate_cap_respected_under_churn():
     env = Environment()
     net = FlowNetwork(env)
     link = Link("wan", 1e8)
-    capped = None
     observed = []
 
     def sampler():
@@ -195,8 +194,8 @@ def test_max_rate_cap_respected_under_churn():
             yield env.timeout(0.05)
 
     def driver():
-        nonlocal capped
-        capped = net.transfer((link,), _NEVER_FINISH, max_rate=2e6)
+        # 2e7 bytes at <= 2e6 B/s outlives the 1.66 s driver.
+        net.transfer((link,), 2e7, max_rate=2e6)
         for _ in range(6):
             net.transfer((link,), 1e7)
             yield env.timeout(0.11)
@@ -205,12 +204,11 @@ def test_max_rate_cap_respected_under_churn():
         yield env.timeout(1.0)
         flow = next(iter(net._flows))
         assert flow.rate == pytest.approx(2e6)
-        flow.event.succeed()
-        net._flows.clear()
-        link._flows.clear()
 
     env.process(driver())
     env.process(sampler())
     env.run()
     assert observed, "sampler never saw the capped flow"
     assert max(observed) <= 2e6 * (1 + 1e-9)
+    # The cap bound the whole way: 2e7 bytes at 2e6 B/s.
+    assert env.now == pytest.approx(10.0)
