@@ -35,14 +35,12 @@ SCHEDULING_PREFIXES = (
 #: The only modules allowed to touch the event heap directly: the
 #: engine owns the queue, the events layer feeds it through
 #: ``_queue_event``, and PriorityResource owns its waiter heap.
-#: flownet's completion heap and the NFS clean-LRU heap are private
-#: min-heaps whose entries carry explicit sequence/stamp tie-breaks,
-#: so they preserve the determinism contract this rule protects.
+#: The NFS clean-LRU heap is a private min-heap whose entries carry an
+#: explicit stamp tie-break, so it preserves the determinism contract
+#: this rule protects.
 EVENT_QUEUE_OWNERS = (
     "repro/simcore/engine.py",
     "repro/simcore/events.py",
-    "repro/simcore/flownet.py",
-    "repro/simcore/flownet_legacy.py",
     "repro/simcore/resources.py",
     "repro/storage/nfs.py",
 )

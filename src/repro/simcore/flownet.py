@@ -14,8 +14,8 @@ stripe traffic, and S3 GET/PUT payloads.
 Performance notes (see ``docs/performance.md``):
 
 * Flow state lives in preallocated, growable numpy arrays packed in
-  insertion order (remaining bytes, rate, completion epsilon, rate cap,
-  projection generation), with a stable-id indirection so a ``_Flow``
+  insertion order (remaining bytes, rate, completion epsilon, rate
+  cap), with a stable-id indirection so a ``_Flow``
   handle survives compaction when earlier flows complete.  Byte
   advancement, completion detection, and the wake min-scan are single
   vectorized passes over the packed arrays; below ``VEC_SCAN_MIN`` live
@@ -27,34 +27,26 @@ Performance notes (see ``docs/performance.md``):
   filling is stateless — the fill is a pure function of the final flow
   population — so eliding the intermediate fills of a cascade and
   running one fill over the union component yields bitwise the same
-  rates the legacy per-event kernel computed.  Completions stay eager
-  (flows finish, in insertion order, at the first touch of a
-  timestamp), so the event-sequence order of ``succeed()`` calls — and
-  with it the telemetry hash-chain — is unchanged.  External readers
+  rates as one fill per event.  Completions stay eager (flows finish,
+  in insertion order, at the first touch of a timestamp), so the
+  event-sequence order of ``succeed()`` calls — and with it the
+  telemetry hash-chain — matches the pinned goldens.  External readers
   (the utilization sampler's ``flow.rate``) trigger a lazy flush, so
-  mid-cascade observations match the legacy kernel exactly.
+  mid-cascade observations see the up-to-date allocation.
 * Reallocation stays *incremental*: only the connected component of
   links reachable from the dirty flows is refilled.  Components at or
   above ``VEC_FILL_MIN`` flows use vectorized rounds (masked
   min-reductions for the bottleneck share, grouped saturation updates
   replayed as per-link sequential clamped subtractions); smaller
-  components run the scalar fill.  Both orderings replicate the legacy
-  float-operation sequence, so rates are bit-identical either way.
-* ``REPRO_FLOWNET=legacy`` in the environment selects the frozen
-  pre-vectorization kernel (:mod:`repro.simcore.flownet_legacy`) — the
-  differential oracle for one release.
-* The default completion scheduler (``completion_mode="exact"``) keeps
-  the classic advance-then-min-scan; ``completion_mode="projected"``
-  switches to a lazy-invalidation completion heap keyed by projected
-  finish time — fewer scans on large flow populations, at the price of
-  last-ulp timing differences.
+  components run the scalar fill.  Both replay the same float-operation
+  sequence, so rates are bit-identical either way.
+* Wakeups come from a fused advance/min-scan over live flows, so wake
+  times are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,19 +61,6 @@ _INF = float("inf")
 
 #: Initial per-network array capacity (rows); doubled on demand.
 _INITIAL_ROWS = 64
-
-
-def _kernel_choice() -> str:
-    """Which flow-network kernel to construct (``soa`` or ``legacy``).
-
-    Read per construction, not at import, so tests can flip the
-    environment variable between networks in one process.
-    """
-    choice = os.environ.get("REPRO_FLOWNET", "soa").strip().lower() or "soa"
-    if choice not in ("soa", "legacy"):
-        raise ValueError(
-            f"REPRO_FLOWNET must be 'soa' or 'legacy', got {choice!r}")
-    return choice
 
 
 class Link:
@@ -118,12 +97,12 @@ class Link:
 class _Flow:
     """Handle onto one row of the network's packed arrays.
 
-    The mutable per-flow state (remaining bytes, rate, generation) lives
-    in :class:`FlowNetwork`'s arrays, reached through the stable id
+    The mutable per-flow state (remaining bytes, rate) lives in
+    :class:`FlowNetwork`'s arrays, reached through the stable id
     ``fid``; the handle itself only carries the immutable description
     plus scratch slots for traversal/fill passes.  Reading ``rate``
     flushes a pending batched reallocation first, so samplers observing
-    mid-cascade see exactly what the legacy eager kernel produced.
+    mid-cascade see the same rates a fill per event would give.
     """
 
     __slots__ = ("net", "fid", "links", "event", "max_rate", "eps",
@@ -164,31 +143,6 @@ class _Flow:
             return self._dead_rate
         return float(net._f_rate[pos])
 
-    @property
-    def gen(self) -> int:
-        net = self.net
-        pos = net._pos_of_id[self.fid]
-        if pos < 0:
-            return -1
-        return int(net._f_gen[pos])
-
-
-class _FlowTable(dict):
-    """Live-flow registry.
-
-    A plain insertion-ordered dict, except that clearing it (tests
-    simulating teardown do) also drops the packed array state, so the
-    registry and the arrays can never disagree about the population.
-    """
-
-    __slots__ = ("net",)
-
-    def clear(self) -> None:  # type: ignore[override]
-        net = getattr(self, "net", None)
-        if net is not None:
-            net._drop_all_flows()
-        dict.clear(self)
-
 
 class FlowNetwork:
     """A collection of links carrying max-min fairly shared flows.
@@ -197,16 +151,6 @@ class FlowNetwork:
     ----------
     env:
         Simulation environment.
-    completion_mode:
-        ``"exact"`` (default) schedules wakeups from a fused
-        advance/min-scan over live flows — wake times are
-        bit-reproducible.  ``"projected"`` maintains a lazy-invalidation
-        heap of projected finish times and only scans flows whose rates
-        changed; timings can differ from exact mode in the last ulp.
-
-    Setting ``REPRO_FLOWNET=legacy`` in the process environment makes
-    this constructor return the frozen object-graph kernel instead (the
-    differential oracle; see :mod:`repro.simcore.flownet_legacy`).
     """
 
     #: Component size at which the vectorized fill replaces the scalar
@@ -218,33 +162,14 @@ class FlowNetwork:
     VEC_FILL_MIN = 32
     VEC_SCAN_MIN = 16
 
-    def __new__(cls, env: "Environment" = None,  # type: ignore[assignment]
-                completion_mode: str = "exact"):
-        if cls is FlowNetwork and _kernel_choice() == "legacy":
-            from .flownet_legacy import LegacyFlowNetwork
-            return LegacyFlowNetwork(env, completion_mode)
-        return super().__new__(cls)
-
-    def __init__(self, env: "Environment",
-                 completion_mode: str = "exact") -> None:
-        if completion_mode not in ("exact", "projected"):
-            raise ValueError(
-                f"completion_mode must be 'exact' or 'projected', "
-                f"got {completion_mode!r}")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.completion_mode = completion_mode
-        self._flows: _FlowTable = _FlowTable()
-        self._flows.net = self
+        self._flows: Dict[_Flow, None] = {}
         self._last_update = env.now
         # Wakeup invalidation by event identity (see FairShareChannel):
         # only the timeout of the latest reschedule is honoured.
         self._wake_event: object = None
         self._wake_cb = self._on_wake
-        # Lazy-invalidation completion heap (projected mode only):
-        # entries are (projected_finish_time, seq, gen, flow); an entry
-        # is stale when the flow has finished or its gen moved on.
-        self._heap: List[tuple] = []
-        self._heap_seq = 0
         # Monotonic pass id handed to component scans and fills; a
         # link/flow whose ``_stamp`` differs from the current pass id
         # has not been visited by it (no per-call visited sets needed).
@@ -263,7 +188,6 @@ class FlowNetwork:
         self._f_rate = np.zeros(rows, dtype=np.float64)
         self._f_eps = np.zeros(rows, dtype=np.float64)
         self._f_cap = np.zeros(rows, dtype=np.float64)
-        self._f_gen = np.zeros(rows, dtype=np.int64)
         self._id_at_pos = np.zeros(rows, dtype=np.int64)
         self._pos_of_id = np.full(rows, -1, dtype=np.int64)
         self._handles: List[_Flow] = []
@@ -304,7 +228,7 @@ class FlowNetwork:
         """
         if nbytes < 0 or not math.isfinite(nbytes):
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
-        if max_rate is not None and max_rate <= 0:
+        if max_rate is not None and not max_rate > 0:
             raise ValueError(f"max_rate must be > 0, got {max_rate}")
         self.total_flows += 1
         done = Event(self.env)
@@ -324,9 +248,8 @@ class FlowNetwork:
         for link in flow.links:
             link._flows[flow] = None
         if nbytes <= eps:
-            # Sub-epsilon payload: completes within this same cascade
-            # (the legacy kernel pops it from the reschedule right
-            # after the fill; final rates are as if it never joined).
+            # Sub-epsilon payload: completes within this same cascade;
+            # final rates are as if it never joined.
             self._complete([pos])
         else:
             self._mark_dirty(flow)
@@ -351,7 +274,6 @@ class FlowNetwork:
         self._f_rate[n] = 0.0
         self._f_eps[n] = eps
         self._f_cap[n] = _INF if max_rate is None else max_rate
-        self._f_gen[n] = 0
         self._id_at_pos[n] = fid
         self._pos_of_id[fid] = n
         self._handles.append(flow)
@@ -365,24 +287,10 @@ class FlowNetwork:
             grown = np.zeros(rows, dtype=np.float64)
             grown[:len(old)] = old
             setattr(self, name, grown)
-        for name in ("_f_gen", "_id_at_pos"):
-            old = getattr(self, name)
-            grown = np.zeros(rows, dtype=np.int64)
-            grown[:len(old)] = old
-            setattr(self, name, grown)
-
-    def _drop_all_flows(self) -> None:
-        """Forget every flow (``net._flows.clear()`` hook, tests only)."""
-        fr = self._f_rate
-        fb = self._f_bytes
-        pos_of = self._pos_of_id
-        for i, h in enumerate(self._handles):
-            h._dead_rate = float(fr[i])
-            h._dead_bytes = float(fb[i])
-            pos_of[h.fid] = -1
-        del self._handles[:]
-        self._n = 0
-        del self._dirty_seeds[:]
+        old = self._id_at_pos
+        grown = np.zeros(rows, dtype=np.int64)
+        grown[:len(old)] = old
+        self._id_at_pos = grown
 
     # -- batched-cascade plumbing -------------------------------------------
 
@@ -412,11 +320,7 @@ class FlowNetwork:
         if self._n and seeds:
             positions, handles = self._component(seeds)
             self._fill(positions, handles)
-        if not self._n:
-            return
-        if self.completion_mode == "projected":
-            self._reschedule_projected()
-        else:
+        if self._n:
             self._reschedule_exact()
 
     # -- internals -----------------------------------------------------------
@@ -428,7 +332,7 @@ class FlowNetwork:
         same-timestamp calls see ``elapsed == 0`` and return.  Byte
         accounting uses a strictly sequential accumulation
         (``np.add.accumulate``) in insertion order, so the vector path
-        reproduces the scalar (and legacy) float sums bit-for-bit.
+        reproduces the scalar float sums bit-for-bit.
         """
         now = self.env.now
         elapsed = now - self._last_update
@@ -482,8 +386,8 @@ class FlowNetwork:
 
         Pops them from the registry and their links, compacts the
         packed arrays, fires their events in insertion order (the order
-        the legacy kernel fired them), and seeds the deferred refill
-        with the dead flows as traversal roots.
+        the pinned hash-chain goldens record), and seeds the deferred
+        refill with the dead flows as traversal roots.
         """
         handles = self._handles
         pos_of = self._pos_of_id
@@ -498,7 +402,7 @@ class FlowNetwork:
         k = len(positions)
         nn = n - k
         arrays = (self._f_bytes, self._f_rate, self._f_eps, self._f_cap,
-                  self._f_gen, self._id_at_pos)
+                  self._id_at_pos)
         if nn == 0:
             del handles[:]
         elif k == 1:
@@ -583,7 +487,6 @@ class FlowNetwork:
         count = len(handles)
         if count == 0:
             return
-        projected = self.completion_mode == "projected"
         if count == 1:
             # Singleton fill (no contention): rate is the tightest of
             # the link capacities and the per-flow cap — the exact
@@ -602,9 +505,6 @@ class FlowNetwork:
             else:
                 rate = cap or _INF
             self._f_rate[pos] = rate
-            if projected:
-                self._f_gen[pos] += 1
-                self._push_projection(h, pos)
             return
         if count < self.VEC_FILL_MIN:
             rates = self._fill_scalar(handles)
@@ -612,28 +512,18 @@ class FlowNetwork:
             rates = self._fill_vector(handles, positions)
         if positions is None:
             self._f_rate[:count] = rates
-            if projected:
-                self._f_gen[:count] += 1
-                for i, h in enumerate(handles):
-                    self._push_projection(h, i)
         else:
-            idx = np.asarray(positions, dtype=np.int64)
-            self._f_rate[idx] = rates
-            if projected:
-                self._f_gen[idx] += 1
-                for pos, h in zip(positions, handles):
-                    self._push_projection(h, pos)
+            self._f_rate[np.asarray(positions, dtype=np.int64)] = rates
 
     def _fill_scalar(self, flow_list: List[_Flow]) -> List[float]:
         """In-place progressive filling over the flow handles.
 
-        This is the legacy kernel's fill verbatim (scratch state on the
-        links/handles, claimed by stamping with a fresh pass id), with
-        rates collected into scratch slots and scatter-written by the
-        caller.  Iteration order — and therefore every float operation
-        — matches the legacy kernel: flow order is insertion order,
-        link order is first-encounter order over the flows' links, and
-        the freeze scan walks ``link._flows``.
+        Scratch state lives on the links/handles, claimed by stamping
+        with a fresh pass id; rates are collected into scratch slots and
+        scatter-written by the caller.  Iteration order fixes every
+        float operation, and with it the pinned rate goldens: flow order
+        is insertion order, link order is first-encounter order over the
+        flows' links, and the freeze scan walks ``link._flows``.
         """
         fid = self._stamp_seq = self._stamp_seq + 1
         links: List[Link] = []
@@ -822,15 +712,6 @@ class FlowNetwork:
 
     # -- completion scheduling ------------------------------------------------
 
-    def _push_projection(self, flow: _Flow, pos: int) -> None:
-        rate = float(self._f_rate[pos])
-        if rate > 0.0 and flow in self._flows:
-            seq = self._heap_seq + 1
-            self._heap_seq = seq
-            heappush(self._heap,
-                     (self.env.now + float(self._f_bytes[pos]) / rate,
-                      seq, int(self._f_gen[pos]), flow))
-
     def _reschedule_exact(self) -> None:
         n = self._n
         if n >= self.VEC_SCAN_MIN:
@@ -861,35 +742,10 @@ class FlowNetwork:
         self._wake_event = wake
         wake.callbacks.append(self._wake_cb)
 
-    def _reschedule_projected(self) -> None:
-        """Wake at the earliest *valid* projected finish time.
-
-        Heap entries carry the flow's generation at push time; any
-        entry whose flow finished or was re-rated since is stale and is
-        discarded on pop (lazy invalidation).  A flow completed earlier
-        in this same-timestamp batch has position -1, so its entries
-        can never fire a wake.  ``max(.., 1e-9)`` clamps float drift of
-        surviving projections at the batch boundary (a projection made
-        at an earlier timestamp can lag ``now`` by an ulp).
-        """
-        heap = self._heap
-        pos_of = self._pos_of_id
-        gens = self._f_gen
-        while heap:
-            when, _seq, gen, flow = heap[0]
-            pos = pos_of[flow.fid]
-            if pos < 0 or gen != gens[pos]:
-                heappop(heap)
-                continue
-            wake = Timeout(self.env, max(when - self.env.now, 1e-9))
-            self._wake_event = wake
-            wake.callbacks.append(self._wake_cb)
-            return
-
     def _on_wake(self, event: object) -> None:
         if event is not self._wake_event:
             return  # superseded by a newer reschedule
         self._sync()
-        # Always refresh the wake (the legacy kernel rescheduled on
-        # every valid wake); completions seeded their own refill above.
+        # Always refresh the wake on every valid wake (the pinned
+        # goldens depend on it); completions seeded their own refill above.
         self._mark_dirty(None)

@@ -172,6 +172,8 @@ def test_invalid_arguments_rejected():
     with pytest.raises(ValueError):
         net.transfer([link], 100.0, max_rate=0.0)
     with pytest.raises(ValueError):
+        net.transfer([link], 100.0, max_rate=float("nan"))
+    with pytest.raises(ValueError):
         Link("bad", 0.0)
     with pytest.raises(ValueError):
         Link("bad", float("inf"))

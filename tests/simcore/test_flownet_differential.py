@@ -210,8 +210,8 @@ def test_zero_byte_transfer_is_immediate_in_both_kernels(monkeypatch):
     "scenario", SCENARIOS,
     ids=["{}-{}-n{}-s{}".format(*s) for s in SCENARIOS])
 def test_golden_scenarios_bit_identical_to_legacy(scenario):
-    """Every golden scenario reproduces the telemetry hash-chain (trace,
-    makespan, and cost) that the legacy kernel recorded."""
+    """Every golden scenario reproduces its committed telemetry
+    hash-chain (trace, makespan, and cost)."""
     app, storage, nodes, seed = scenario
     (result,) = run_sweep([_config(app, storage, nodes, seed)],
                           workflow=small_workflow(app))
