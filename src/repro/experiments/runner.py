@@ -9,9 +9,11 @@ cluster, and prices the run.  :func:`run_sweep` drives a list of cells
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..apps import APP_BUILDERS
 from ..apps.templates import app_template
 from ..cloud.cluster import ContextBroker
 from ..cloud.ec2 import EC2Cloud
@@ -80,12 +82,6 @@ class ObserveOptions:
     #: Collect failures and return ``None`` placeholders instead of
     #: raising :class:`CellError` at the end of the sweep.
     keep_going: bool = False
-
-    def active(self) -> bool:
-        """Whether any observability feature is switched on."""
-        return (self.monitor is not None or self.crash_dir is not None
-                or self.flight or self.profile != "off"
-                or self.cell_retries > 0 or self.keep_going)
 
     def flight_enabled(self) -> bool:
         """Ring buffers are on explicitly or implied by a crash dir."""
@@ -279,14 +275,15 @@ class _CellObserve:
 
 @dataclass
 class _SweepEnvelope:
-    """Picklable result of one sweep cell run in a worker process.
+    """One attempt at one sweep cell: its result, host measurements, error.
 
-    Live :class:`ExperimentResult` objects cannot cross a process
-    boundary — the trace collector carries closure subscribers (the
-    metrics bridge) and the registry holds live instrument objects.
-    The envelope ships only plain data: the raw trace tuples plus the
-    side artifacts; the parent replays the trace through a fresh
-    collector + bridge, reconstructing bit-identical telemetry.
+    Inline (``jobs=1``) ``result`` is the live :class:`ExperimentResult`.
+    A live result cannot cross a process boundary — the trace collector
+    carries closure subscribers (the metrics bridge) and the registry
+    holds live instrument objects — so a pool worker strips both off
+    and ships the raw trace rows in ``trace_rows``; the parent replays
+    them through a fresh collector + bridge (:func:`_rehydrate`),
+    reconstructing bit-identical telemetry.
 
     The host-side fields (``wall_*``, ``peak_rss``, ``profile_stats``,
     ``error``) feed the sweep monitor and flight recorder only; none of
@@ -295,108 +292,138 @@ class _SweepEnvelope:
 
     index: int
     config: ExperimentConfig
-    run: Optional[WorkflowRun]
-    cost: Optional[WorkflowCost]
-    #: ``(time, category, event, fields)`` rows, or None (telemetry off).
-    trace_records: Optional[List[tuple]]
-    #: The worker collector's id counter (span ids continue from here).
-    trace_next_id: int
-    timeline: Optional[Timeline]
-    faults: Optional[FaultReport]
-    #: Host epoch seconds when the worker picked the cell up.
+    #: None when the cell raised (``error`` holds its crash bundle).
+    result: Optional[ExperimentResult]
+    #: Pool only: the stripped trace's ``(time, category, event, fields)``
+    #: rows and id counter (span ids continue from there).
+    trace_rows: Optional[Tuple[List[tuple], int]] = None
+    #: Host epoch seconds when the cell was picked up.
     wall_start: float = 0.0
     #: Host wall-clock duration of the cell, seconds.
     wall_seconds: float = 0.0
-    #: Worker peak RSS in bytes at cell completion (process-wide high
-    #: water mark — monotone within one worker process).
+    #: Peak RSS in bytes at cell completion (process-wide high water
+    #: mark — monotone within one worker process).
     peak_rss: int = 0
     #: pstats tables captured under ``--profile cprofile``.
     profile_stats: Optional[List[Dict[Any, Any]]] = None
-    #: Crash bundle dict when the cell raised (run/cost are None then).
+    #: Crash bundle dict when the cell raised.
     error: Optional[Dict[str, Any]] = None
 
 
-def _sweep_cell(payload) -> _SweepEnvelope:
-    """Worker entry point: run one cell, return its envelope.
+#: Where a sweep's cells get their workflow: ``(workflow, factory)``.
+_Source = Tuple[Optional[Workflow], Optional[Callable[[str], Workflow]]]
 
-    Never raises: a failing cell comes back as an envelope whose
-    ``error`` field is a ready-to-write crash bundle (traceback,
-    scenario config + digest, flight-recorder ring, partial metrics),
-    so ``pool.map`` keeps yielding the remaining cells.
+#: A pool worker's workflow source, set by :func:`_init_worker`.
+_WORKER_SOURCE: _Source = (None, None)
+
+
+def _run_cell(payload, workflow: Optional[Workflow] = None,
+              factory: Optional[Callable[[str], Workflow]] = None
+              ) -> _SweepEnvelope:
+    """Run one sweep cell — the one cell path of both sweep drivers.
+
+    ``payload`` is ``(index, config, cell_obs)``.  Never raises: a
+    failing cell comes back as an envelope whose ``error`` field is a
+    ready-to-write crash bundle (traceback, scenario config + digest,
+    flight-recorder ring, partial metrics), so the sweep keeps driving
+    the remaining cells.
     """
-    index, config, workflow, factory, obs = payload
-    obs = obs or _CellObserve()
+    index, config, obs = payload
     wall_start = hostclock.wall_now()
     t0 = hostclock.monotonic()
     recorder = FlightRecorder(obs.flight_capacity) if obs.flight else None
     profile_sink: List[Dict[Any, Any]] = []
+    result: Optional[ExperimentResult] = None
+    error: Optional[Dict[str, Any]] = None
     try:
         if workflow is None and factory is not None:
             workflow = factory(config.app)
-        ext_trace = recorder.trace if recorder is not None else None
-        if obs.profile == "cprofile":
-            with capture_profile(profile_sink):
-                result = run_experiment(config, workflow=workflow,
-                                        trace=ext_trace)
-        else:
-            result = run_experiment(config, workflow=workflow,
-                                    trace=ext_trace)
-    # Catching everything here is the point: a worker must convert any
-    # cell failure (Interrupt and deadlock included) into an error
-    # envelope so pool.map keeps yielding the remaining cells, and the
-    # exception is preserved verbatim inside the crash bundle.
+        with (capture_profile(profile_sink) if obs.profile == "cprofile"
+              else nullcontext()):
+            result = run_experiment(
+                config, workflow=workflow,
+                trace=recorder.trace if recorder is not None else None)
+    # Catching everything here is the point: any cell failure (Interrupt
+    # and deadlock included) must become an error envelope so the sweep
+    # keeps driving the remaining cells, and the exception is preserved
+    # verbatim inside the crash bundle.
     except Exception as exc:  # lint: ignore[SIM007]
-        return _SweepEnvelope(
-            index=index, config=config, run=None, cost=None,
-            trace_records=None, trace_next_id=0, timeline=None,
-            faults=None, wall_start=wall_start,
-            wall_seconds=hostclock.monotonic() - t0,
-            peak_rss=hostclock.peak_rss_bytes(),
-            profile_stats=profile_sink or None,
-            error=crash_bundle(config, index, exc, recorder),
-        )
-    trace = result.trace
+        error = crash_bundle(config, index, exc, recorder)
     return _SweepEnvelope(
-        index=index,
-        config=result.config,
-        run=result.run,
-        cost=result.cost,
-        trace_records=[(r.time, r.category, r.event, r.fields)
-                       for r in trace.records] if trace is not None else None,
-        trace_next_id=trace._next_id if trace is not None else 0,
-        timeline=result.timeline,
-        faults=result.faults,
-        wall_start=wall_start,
+        index=index, config=config, result=result, wall_start=wall_start,
         wall_seconds=hostclock.monotonic() - t0,
         peak_rss=hostclock.peak_rss_bytes(),
-        profile_stats=profile_sink or None,
-    )
+        profile_stats=profile_sink or None, error=error)
 
 
-def _rehydrate(envelope: _SweepEnvelope) -> ExperimentResult:
-    """Rebuild a full ExperimentResult from a worker envelope.
+def _init_worker(workflow: Optional[Workflow],
+                 factory: Optional[Callable[[str], Workflow]]) -> None:
+    """Pool initializer: take the workflow source once per worker, so
+    payloads never carry it."""
+    global _WORKER_SOURCE
+    _WORKER_SOURCE = (workflow, factory)
+
+
+def _pool_cell(payload) -> _SweepEnvelope:
+    """Pool entry point: :func:`_run_cell`, made picklable."""
+    envelope = _run_cell(payload, *_WORKER_SOURCE)
+    result = envelope.result
+    if result is not None and result.trace is not None:
+        trace = result.trace
+        envelope.trace_rows = ([(r.time, r.category, r.event, r.fields)
+                                for r in trace.records], trace._next_id)
+        result.trace = result.metrics = None
+    return envelope
+
+
+def _rehydrate(envelope: _SweepEnvelope) -> Optional[ExperimentResult]:
+    """The envelope's result, with the telemetry a pool stripped rebuilt.
 
     Replaying the raw records through a fresh collector with the
     metrics bridge installed reproduces exactly the trace indexes and
-    instrument values the serial path would have built — the bridge is
-    a pure function of the record stream.
+    instrument values the inline path builds — the bridge is a pure
+    function of the record stream.
     """
-    if envelope.trace_records is None:
-        return ExperimentResult(
-            config=envelope.config, run=envelope.run, cost=envelope.cost,
-            timeline=envelope.timeline, faults=envelope.faults)
+    result = envelope.result
+    if result is None or envelope.trace_rows is None:
+        return result
+    rows, next_id = envelope.trace_rows
     trace = TraceCollector()
     metrics = MetricsRegistry()
     install_trace_bridge(metrics, trace)
     emit = trace.emit
-    for time, category, event, fields in envelope.trace_records:
+    for time, category, event, fields in rows:
         emit(time, category, event, **fields)
-    trace._next_id = envelope.trace_next_id
-    _set_summary_gauges(metrics, envelope.config, envelope.run, envelope.cost)
-    return ExperimentResult(
-        config=envelope.config, run=envelope.run, cost=envelope.cost,
-        trace=trace, metrics=metrics,
-        timeline=envelope.timeline, faults=envelope.faults)
+    trace._next_id = next_id
+    _set_summary_gauges(metrics, result.config, result.run, result.cost)
+    result.trace, result.metrics = trace, metrics
+    return result
+
+
+def _dispatch_order(configs: List[ExperimentConfig], misses: List[int],
+                    workflow: Optional[Workflow],
+                    factory: Optional[Callable[[str], Workflow]]
+                    ) -> List[int]:
+    """Pool dispatch order: longest-expected-first.
+
+    A cell's expected cost is ``task_count × n_workers``; the stable
+    sort keeps ties in config order.  The task count is the explicit
+    workflow's, or the app template's — instantiated here, which also
+    warms the template cache that fork-started workers inherit.  A
+    factory is never called in the parent, so with one (or for an app
+    without a template, whose cells fail in the worker) the count is 1.
+    """
+    def task_count(app: str) -> int:
+        if workflow is not None:
+            return len(workflow.tasks)
+        if factory is not None or app not in APP_BUILDERS:
+            return 1
+        return len(app_template(app).instantiate().tasks)
+
+    counts = {app: task_count(app)
+              for app in dict.fromkeys(configs[i].app for i in misses)}
+    return sorted(misses, key=lambda i: -counts[configs[i].app]
+                  * configs[i].n_workers)
 
 
 def run_sweep(configs: Iterable[ExperimentConfig],
@@ -412,22 +439,26 @@ def run_sweep(configs: Iterable[ExperimentConfig],
     ``workflow_factory(app_name)`` can supply down-scaled workflows for
     quick sweeps; ``workflow`` fixes one explicit workflow for every
     cell instead (mutually exclusive with the factory).  ``progress``
-    is called after each cell, in config order.
+    is called once per completed cell, in config order.
 
-    ``jobs > 1`` runs cells in up to that many worker processes.  The
-    returned list is always in config order and — because every cell is
-    a fresh, fully deterministic world — bit-identical to a serial
-    sweep, including the telemetry of each result (see
-    :class:`_SweepEnvelope`).  With ``jobs > 1`` the factory must be
-    picklable (a module-level function, not a lambda).
+    ``jobs > 1`` runs cells in up to that many worker processes, each
+    handed the workflow source once at start-up.  Cells are dispatched
+    longest-expected-first (see :func:`_dispatch_order`) so the costliest
+    cell never starts last.  The returned list is always in config order
+    and — because every cell is a fresh, fully deterministic world —
+    bit-identical to a serial sweep, including the telemetry of each
+    result (see :class:`_SweepEnvelope`).  With ``jobs > 1`` the factory
+    must be picklable (a module-level function, not a lambda).
 
     ``observe`` switches on host-side observability (monitor/event log,
     flight recorder + crash bundles, profiling, retries); see
-    :class:`ObserveOptions`.  A cell that raises is recorded (bundle
-    written, ``cell_failed`` event emitted) and — after the whole sweep
-    has been driven — the first-failure behaviour is a single
-    :class:`CellError` listing every failed cell.  With ``keep_going``
-    the sweep instead returns ``None`` placeholders at failed indexes.
+    :class:`ObserveOptions`.  Monitor ``cell_started``/``cell_finished``
+    /``cell_failed`` events fire in completion order.  A cell that
+    raises is recorded (bundle written, ``cell_failed`` event emitted)
+    and — after the whole sweep has been driven — the first-failure
+    behaviour is a single :class:`CellError` listing every failed cell
+    in config order.  With ``keep_going`` the sweep instead returns
+    ``None`` placeholders at failed indexes.
 
     ``cache`` is a content-addressed cell cache (anything with the
     :class:`repro.service.cache.CellCache` ``get(config)``/
@@ -461,122 +492,83 @@ def run_sweep(configs: Iterable[ExperimentConfig],
             hit = cache.get(config)
             if hit is not None:
                 cached[index] = hit
-
-    if not opts.active() and (jobs == 1 or len(configs) <= 1):
-        # Fast path, byte-for-byte the historical behaviour: no
-        # envelope round-trip, results carry their live collectors.
-        results: List[Optional[ExperimentResult]] = []
-        for index, config in enumerate(configs):
-            result = cached.get(index)
-            if result is None:
-                wf = workflow if workflow is not None else (
-                    workflow_factory(config.app) if workflow_factory
-                    else None)
-                result = run_experiment(config, workflow=wf)
-                if cache is not None:
-                    cache.put(config, result)
-            results.append(result)
-            if progress is not None:
-                progress(result)
-        return results
-
+    misses = [i for i in range(len(configs)) if i not in cached]
+    # Inline unless at least two misses can share a pool.
+    workers = max(1, min(jobs, len(misses)))
+    source: _Source = (workflow, workflow_factory)
     cell_obs = _CellObserve(flight=opts.flight_enabled(),
                             flight_capacity=opts.flight_capacity,
                             profile=opts.profile)
-    payloads = [(i, config, workflow, workflow_factory, cell_obs)
-                for i, config in enumerate(configs)]
     monitor = opts.monitor
-    results = []
+    results: List[Optional[ExperimentResult]] = [None] * len(configs)
+    done = [False] * len(configs)
     failures: List[Dict[str, Any]] = []
+    reported = 0
+
+    def complete(index: int, result: Optional[ExperimentResult]) -> None:
+        # Cells complete in any order; progress follows config order.
+        nonlocal reported
+        results[index] = result
+        done[index] = True
+        while reported < len(configs) and done[reported]:
+            if progress is not None and results[reported] is not None:
+                progress(results[reported])
+            reported += 1
+
+    def finish(envelope: _SweepEnvelope) -> None:
+        # The simulation is deterministic, so an in-process retry only
+        # helps against host-level transients (an OOM-killed worker, a
+        # full tmpdir); each attempt is announced via ``cell_retried``.
+        attempt = 0
+        while envelope.error is not None and attempt < opts.cell_retries:
+            attempt += 1
+            if monitor is not None:
+                monitor.cell_retried(envelope.index, envelope.config, attempt)
+            envelope = _run_cell((envelope.index, envelope.config, cell_obs),
+                                 *source)
+        complete(envelope.index,
+                 _consume_envelope(envelope, opts, failures, cache))
 
     if monitor is not None:
-        monitor.sweep_started(len(configs), jobs)
+        monitor.sweep_started(len(configs), workers)
     try:
-        if jobs == 1 or len(configs) - len(cached) <= 1:
-            for payload in payloads:
-                if monitor is not None:
-                    monitor.cell_scheduled(payload[0], payload[1])
-                if payload[0] in cached:
-                    results.append(_consume_cached(
-                        payload[0], payload[1], cached[payload[0]],
-                        opts, progress))
-                    continue
-                envelope = _run_with_retries(payload, opts)
-                results.append(_consume_envelope(
-                    envelope, opts, progress, failures, cache=cache))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
+        for index, result in cached.items():
             if monitor is not None:
-                for index, config in enumerate(configs):
-                    monitor.cell_scheduled(index, config)
-            miss_payloads = [p for p in payloads if p[0] not in cached]
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(miss_payloads))) as pool:
-                # map() yields in submission order regardless of
-                # completion order; interleaving the cached indexes
-                # back in keeps result order (and progress callbacks)
-                # identical to serial.
-                envelopes = pool.map(_sweep_cell, miss_payloads)
-                for index, config in enumerate(configs):
-                    if index in cached:
-                        results.append(_consume_cached(
-                            index, config, cached[index], opts, progress))
-                        continue
-                    envelope = next(envelopes)
-                    if envelope.error is not None and opts.cell_retries:
-                        envelope = _run_with_retries(
-                            payloads[envelope.index], opts,
-                            first=envelope)
-                    results.append(_consume_envelope(
-                        envelope, opts, progress, failures, cache=cache))
+                # A hit costs no simulation: its lifecycle collapses to
+                # an immediate pair with zero wall-clock attributed.
+                monitor.cell_scheduled(index, configs[index])
+                monitor.cell_started(index, configs[index])
+                monitor.cell_finished(index, configs[index],
+                                      wall_seconds=0.0, peak_rss=0)
+            complete(index, result)
+        order = misses if workers == 1 else _dispatch_order(
+            configs, misses, workflow, workflow_factory)
+        if monitor is not None:
+            for index in order:
+                monitor.cell_scheduled(index, configs[index])
+        if workers == 1:
+            for index in order:
+                finish(_run_cell((index, configs[index], cell_obs), *source))
+        else:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_init_worker,
+                                     initargs=source) as pool:
+                futures = [pool.submit(_pool_cell,
+                                       (index, configs[index], cell_obs))
+                           for index in order]
+                for future in as_completed(futures):
+                    finish(future.result())
     finally:
         if monitor is not None:
             monitor.sweep_finished()
     if failures and not opts.keep_going:
-        raise CellError(failures)
+        raise CellError(sorted(failures, key=lambda f: f["index"]))
     return results
 
 
-def _run_with_retries(payload, opts: ObserveOptions,
-                      first: Optional[_SweepEnvelope] = None
-                      ) -> _SweepEnvelope:
-    """Run one cell in-process, retrying failures up to cell_retries.
-
-    The simulation itself is deterministic, so a retry only helps
-    against *host*-level transients (an OOM-killed worker, a full
-    tmpdir); each attempt is announced via ``cell_retried``.
-    """
-    envelope = first if first is not None else _sweep_cell(payload)
-    attempt = 0
-    while envelope.error is not None and attempt < opts.cell_retries:
-        attempt += 1
-        if opts.monitor is not None:
-            opts.monitor.cell_retried(payload[0], payload[1], attempt)
-        envelope = _sweep_cell(payload)
-    return envelope
-
-
-def _consume_cached(index: int, config: ExperimentConfig,
-                    result: ExperimentResult, opts: ObserveOptions,
-                    progress: Optional[Callable[[ExperimentResult], None]]
-                    ) -> ExperimentResult:
-    """Fold one cache hit into monitor events and the result list.
-
-    A hit costs no simulation, so its lifecycle collapses to an
-    immediate started/finished pair with zero wall-clock attributed.
-    """
-    monitor = opts.monitor
-    if monitor is not None:
-        monitor.cell_started(index, config)
-        monitor.cell_finished(index, config, wall_seconds=0.0, peak_rss=0)
-    if progress is not None:
-        progress(result)
-    return result
-
-
 def _consume_envelope(envelope: _SweepEnvelope, opts: ObserveOptions,
-                      progress: Optional[Callable[[ExperimentResult], None]],
                       failures: List[Dict[str, Any]],
                       cache: Optional[Any] = None
                       ) -> Optional[ExperimentResult]:
@@ -585,8 +577,8 @@ def _consume_envelope(envelope: _SweepEnvelope, opts: ObserveOptions,
     ``cell_started`` is emitted here — retrospectively, at completion —
     because a process pool gives the parent no signal when a worker
     actually picks a cell up; the event's host ordering is therefore
-    schedule-accurate, not start-accurate (the worker-observed start
-    time is preserved in ``wall_start``).
+    completion-accurate, not start-accurate (the observed start time is
+    preserved in ``wall_start``).
     """
     monitor = opts.monitor
     config = envelope.config
@@ -621,6 +613,4 @@ def _consume_envelope(envelope: _SweepEnvelope, opts: ObserveOptions,
         monitor.cell_finished(envelope.index, config,
                               wall_seconds=envelope.wall_seconds,
                               peak_rss=envelope.peak_rss)
-    if progress is not None:
-        progress(result)
     return result

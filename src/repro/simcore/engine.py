@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from .errors import SimulationDeadlock
 from .events import AllOf, AnyOf, Event, Process, Timeout
@@ -42,8 +42,9 @@ class Environment:
         self._active_process: Optional[Process] = None
         # End-of-timestamp flush hooks (see :meth:`defer`): callbacks
         # that run once the current timestamp's event cascade has fully
-        # drained, before the clock moves to the next event time.
-        self._flush_pending: List[Callable[[], None]] = []
+        # drained, before the clock moves to the next event time.  An
+        # insertion-ordered dict used as an ordered set (values unused).
+        self._flush_pending: Dict[Callable[[], None], None] = {}
 
     # -- clock -------------------------------------------------------------
 
@@ -106,18 +107,14 @@ class Environment:
         defer further callbacks; they drain in the same pass.
         """
         pending = self._flush_pending
-        if pending:
-            try:
-                pending.remove(fn)
-            except ValueError:
-                pass
-        pending.append(fn)
+        pending.pop(fn, None)
+        pending[fn] = None
 
     def _run_deferred(self) -> None:
         pending = self._flush_pending
         while pending:
-            batch = pending[:]
-            del pending[:]
+            batch = list(pending)
+            pending.clear()
             for fn in batch:
                 fn()
 

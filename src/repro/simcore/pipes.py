@@ -81,6 +81,9 @@ class FairShareChannel:
         # a float pow() on every advance/reschedule of the hot path.
         self._rate_cache: Dict[int, float] = {}
         self._jobs: Dict[int, _ChannelJob] = {}
+        # Least ``work_left`` over ``_jobs`` (inf when empty), kept exact
+        # by ``_advance`` and ``submit`` so ``_flush`` needs no rescan.
+        self._min_left = math.inf
         self._next_id = 0
         self._last_update = env.now
         # Wakeup invalidation by event identity: `_wake_event` is the
@@ -92,8 +95,8 @@ class FairShareChannel:
         self._wake_cb = self._on_wake
         # Batched same-timestamp cascades (mirrors FlowNetwork): a
         # population change marks the channel dirty and defers one
-        # min-scan/reschedule to the environment's end-of-timestamp
-        # hook instead of rescanning per submit.  Completions stay
+        # reschedule to the environment's end-of-timestamp hook instead
+        # of rescheduling per submit.  Completions stay
         # eager (the first touch of a timestamp advances and pops due
         # jobs), so event ordering is unchanged.
         self._dirty = False
@@ -131,6 +134,8 @@ class FairShareChannel:
             done.succeed()
         else:
             self._jobs[self._next_id] = _ChannelJob(work, done)
+            if work < self._min_left:
+                self._min_left = work
         self._mark_dirty()
         return done
 
@@ -184,6 +189,7 @@ class FairShareChannel:
                 total_rate = self._service_rate(n)
                 done_work = elapsed * total_rate / n
                 finished = None
+                min_left = math.inf
                 for jid, job in self._jobs.items():
                     left = job.work_left - done_work
                     job.work_left = left
@@ -192,6 +198,9 @@ class FairShareChannel:
                             finished = [jid]
                         else:
                             finished.append(jid)
+                    elif left < min_left:
+                        min_left = left
+                self._min_left = min_left
                 self.total_work_done += elapsed * total_rate
                 if finished:
                     jobs = self._jobs
@@ -214,21 +223,15 @@ class FairShareChannel:
         """Schedule the wakeup for the soonest completion.
 
         Runs once per dirtied timestamp from the end-of-timestamp hook:
-        one min-scan per batch of same-timestamp submits, where the
+        one reschedule per batch of same-timestamp submits, where the
         eager kernel scanned per submit.
         """
         self._dirty = False
-        jobs = self._jobs
-        if not jobs:
+        n = len(self._jobs)
+        if not n:
             return
-        min_left = -1.0
-        for job in jobs.values():
-            left = job.work_left
-            if min_left < 0.0 or left < min_left:
-                min_left = left
-        n = len(jobs)
         # Floor the delay so the clock always advances between wakeups.
-        delay = max(min_left * n / self._service_rate(n), 1e-9)
+        delay = max(self._min_left * n / self._service_rate(n), 1e-9)
         wake = Timeout(self.env, delay)
         self._wake_event = wake
         wake.callbacks.append(self._wake_cb)

@@ -5,11 +5,19 @@ their telemetry in the parent; nothing about the numbers, ordering, or
 trace streams may depend on N.
 """
 
+import io
+import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.apps import build_synthetic
-from repro.experiments import ExperimentConfig, run_sweep
+from repro.experiments import ExperimentConfig, run_sweep, runner
 from repro.experiments.faultsweep import fault_inflation_sweep
+from repro.experiments.runner import ObserveOptions
+from repro.observe.events import EventLogWriter
+from repro.observe.monitor import SweepMonitor
 
 
 def small_wf(app_name="any"):
@@ -104,3 +112,81 @@ def test_parallel_fault_sweep_replays_full_telemetry():
 def test_jobs_validation():
     with pytest.raises(ValueError):
         run_sweep(_cells(), workflow_factory=small_wf, jobs=0)
+
+
+def test_pool_dispatches_costliest_cell_first_but_reports_in_config_order():
+    # With a factory the expected cost is the node count, so the 4-node
+    # cell is dispatched first although it comes last in config order.
+    cells = [ExperimentConfig("synthetic", "nfs", 2),
+             ExperimentConfig("synthetic", "s3", 2),
+             ExperimentConfig("synthetic", "nfs", 3),
+             ExperimentConfig("synthetic", "nfs", 4)]
+    log = io.StringIO()
+    seen = []
+    parallel = run_sweep(
+        cells, workflow_factory=small_wf, jobs=2, progress=seen.append,
+        observe=ObserveOptions(monitor=SweepMonitor(
+            events=EventLogWriter(log))))
+    serial = run_sweep(cells, workflow_factory=small_wf)
+    events = [json.loads(line) for line in log.getvalue().splitlines()]
+    scheduled = [e["index"] for e in events if e["kind"] == "cell_scheduled"]
+    assert scheduled == [3, 2, 0, 1]
+    assert [r.config for r in parallel] == cells
+    assert [r.config for r in seen] == cells
+    for s, p in zip(serial, parallel):
+        assert repr(p.makespan) == repr(s.makespan)
+        assert p.summary_row() == s.summary_row()
+
+
+@pytest.mark.parametrize("observe", [None, ObserveOptions(flight=True,
+                                                          keep_going=True)])
+def test_serial_sweep_runs_each_cell_once_through_run_cell(monkeypatch,
+                                                           observe):
+    calls = []
+    real = runner._run_cell
+
+    def counting(payload, *source):
+        calls.append(payload[0])
+        return real(payload, *source)
+
+    monkeypatch.setattr(runner, "_run_cell", counting)
+    results = run_sweep(_cells(), workflow_factory=small_wf, observe=observe)
+    monkeypatch.undo()
+    plain = run_sweep(_cells(), workflow_factory=small_wf)
+    assert calls == [0, 1, 2, 3]
+    assert [r.summary_row() for r in results] == \
+        [r.summary_row() for r in plain]
+
+
+def test_pool_payloads_do_not_carry_the_workflow(monkeypatch):
+    sent = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(self, fn, *args, **kwargs):
+        sent.append(pickle.dumps(args))
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    wf = small_wf()
+    marker = next(iter(wf.files)).encode()
+    assert marker in pickle.dumps(wf)
+    results = run_sweep(_cells(), workflow=wf, jobs=2)
+    assert len(results) == len(sent) == 4
+    assert not any(marker in blob for blob in sent)
+
+
+@pytest.mark.parametrize("n_cells, workers", [(2, 2), (1, 1)])
+def test_monitor_reports_the_workers_that_ran(n_cells, workers):
+    monitor = SweepMonitor()
+    run_sweep(_cells()[:n_cells], workflow_factory=small_wf, jobs=4,
+              observe=ObserveOptions(monitor=monitor))
+    assert monitor.summary()["jobs"] == workers
+
+
+def test_pool_sweep_of_unknown_app_fails_per_cell():
+    # Sizing the dispatch order must not raise for an app without a
+    # template: the cells still fail one by one, in the workers.
+    cells = [ExperimentConfig("nosuchapp", "nfs", 2),
+             ExperimentConfig("nosuchapp", "s3", 2)]
+    results = run_sweep(cells, jobs=2, observe=ObserveOptions(keep_going=True))
+    assert results == [None, None]
