@@ -33,15 +33,14 @@ SCHEDULING_PREFIXES = (
 )
 
 #: The only modules allowed to touch the event heap directly: the
-#: engine owns the queue, the events layer feeds it through
-#: ``_queue_event``, and PriorityResource owns its waiter heap.
+#: engine owns the queue and the events layer feeds it through
+#: ``_queue_event``.
 #: The NFS clean-LRU heap is a private min-heap whose entries carry an
 #: explicit stamp tie-break, so it preserves the determinism contract
 #: this rule protects.
 EVENT_QUEUE_OWNERS = (
     "repro/simcore/engine.py",
     "repro/simcore/events.py",
-    "repro/simcore/resources.py",
     "repro/storage/nfs.py",
 )
 

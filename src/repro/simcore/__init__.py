@@ -5,8 +5,8 @@ Public surface:
 * :class:`Environment` — clock + event loop;
 * :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
   :class:`AnyOf` — waitables;
-* :class:`Resource`, :class:`PriorityResource`, :class:`Container`,
-  :class:`Store` — contended entities;
+* :class:`Resource`, :class:`Container`, :class:`Store` — contended
+  entities;
 * :class:`FairShareChannel` — processor-sharing device model (disks);
 * :class:`Link`, :class:`FlowNetwork` — max-min fair network model;
 * :class:`TraceCollector` — structured run traces;
@@ -26,7 +26,7 @@ from .events import AllOf, AnyOf, Event, Process, Timeout
 from .flownet import FlowNetwork, Link
 from .pipes import FairShareChannel
 from .rand import jittered, substream
-from .resources import Container, PriorityResource, Request, Resource, Store
+from .resources import Container, Request, Resource, Store
 from .tracing import NULL_COLLECTOR, TraceCollector, TraceRecord
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "Link",
     "NULL_COLLECTOR",
     "NotPending",
-    "PriorityResource",
     "Process",
     "Request",
     "Resource",

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import SimulationDeadlock
 from .events import AllOf, AnyOf, Event, Process, Timeout
@@ -13,6 +14,8 @@ from .events import AllOf, AnyOf, Event, Process, Timeout
 #: same timestamp; interrupts use priority 0 so they pre-empt same-time
 #: ordinary events.
 NORMAL_PRIORITY = 1
+
+_INF = float("inf")
 
 
 class Environment:
@@ -39,7 +42,6 @@ class Environment:
         # Heap entries: (time, priority, sequence, event)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         # End-of-timestamp flush hooks (see :meth:`defer`): callbacks
         # that run once the current timestamp's event cascade has fully
         # drained, before the clock moves to the next event time.  An
@@ -52,11 +54,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between resumptions)."""
-        return self._active_process
 
     # -- event factories ----------------------------------------------------
 
@@ -95,8 +92,8 @@ class Environment:
 
         Same-timestamp event cascades (a wave of transfers all starting
         at ``now``) would otherwise trigger one full reallocation per
-        event.  A kernel that batches instead marks itself dirty, defers
-        one flush callback here, and the run loop invokes it exactly
+        event.  A kernel that batches instead defers one flush
+        callback here, and the run loop invokes it exactly
         once — after every event queued at the current simulation time
         has been processed and before the clock advances.  Flushes run
         in *last*-registration order: re-deferring an already-pending
@@ -122,25 +119,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if self._flush_pending and (
-                not self._queue or self._queue[0][0] > self._now):
-            self._run_deferred()
-        if not self._queue:
-            raise SimulationDeadlock("no scheduled events")
-        when, _prio, _seq, event = _heappop(self._queue)
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failed event nobody waited on: surface the error loudly
-            # rather than losing it.
-            exc = event._value
-            raise exc
+        return self._queue[0][0] if self._queue else _INF
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -152,77 +131,61 @@ class Environment:
         * an :class:`Event` — run until that event is processed, and
           return its value (re-raising its exception if it failed).
         """
-        # The three loops below inline :meth:`step` (heap pop, clock
-        # bump, callback drain) with the hot names bound locally; at
-        # ~10^6 events per cell the method/attribute dispatch of a
-        # `while ...: self.step()` loop is a measurable fraction of
-        # total runtime.  Semantics are identical to calling ``step``.
-        # Each loop also honours the end-of-timestamp flush hooks: when
-        # callbacks are pending and the next queued event lies strictly
-        # beyond ``now`` (or the queue is empty), the deferred flushes
-        # run before the clock is allowed to advance.
-        queue = self._queue
-        pop = _heappop
-        flush = self._flush_pending
-
         if until is None:
-            while True:
-                if flush and (not queue or queue[0][0] > self._now):
-                    self._run_deferred()
-                if not queue:
-                    return None
-                when, _prio, _seq, event = pop(queue)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+            self._drain(_INF, ())
+            return None
 
         if isinstance(until, Event):
             sentinel = until
-            finished: List[Event] = []
-
-            if sentinel.callbacks is None:
-                # Already processed.
-                if not sentinel._ok:
-                    raise sentinel._value
-                return sentinel._value
-            sentinel.callbacks.append(finished.append)
-            while not finished:
-                if flush and (not queue or queue[0][0] > self._now):
-                    self._run_deferred()
-                if not queue:
+            if sentinel.callbacks is not None:
+                finished: List[Event] = []
+                sentinel.callbacks.append(finished.append)
+                self._drain(_INF, finished)
+                if not finished:
                     raise SimulationDeadlock(
                         f"event {sentinel!r} will never fire: queue is empty"
                     )
-                when, _prio, _seq, event = pop(queue)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-            if not sentinel._ok:
+                # Waiting on the sentinel retrieves its outcome.
                 sentinel._defused = True
+            if not sentinel._ok:
                 raise sentinel._value
             return sentinel._value
 
-        # Numeric deadline.
         deadline = float(until)
         if deadline < self._now:
             raise ValueError(f"until={deadline} is in the past (now={self._now})")
-        while True:
+        self._drain(deadline, ())
+        self._now = deadline
+        return None
+
+    def _drain(self, deadline: float, finished: Sequence[Event]) -> None:
+        """The run loop: process events until ``finished`` is non-empty,
+        the next event lies beyond ``deadline``, or the queue runs dry.
+
+        Pending :meth:`defer` flushes run whenever the next event lies
+        strictly beyond ``now`` (or none is left), before the clock
+        advances.  Hot names are bound locally: at ~10^6 events per
+        cell, attribute dispatch here is a measurable share of runtime.
+        """
+        queue = self._queue
+        pop = _heappop
+        flush = self._flush_pending
+        while not finished:
             if flush and (not queue or queue[0][0] > self._now):
                 self._run_deferred()
-            if not queue or queue[0][0] > deadline:
-                break
-            when, _prio, _seq, event = pop(queue)
+            if not queue:
+                return
+            when, prio, seq, event = pop(queue)
+            if when > deadline:
+                # Overshoot: put the entry back; its key is unique, so
+                # the pop order is unchanged.
+                _heappush(queue, (when, prio, seq, event))
+                return
             self._now = when
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:
+                # A failed event nobody waited on: surface the error
+                # loudly rather than losing it.
                 raise event._value
-        self._now = deadline
-        return None

@@ -21,14 +21,6 @@ class EventNotTriggered(SimulationError):
     """The value of an event was read before the event fired."""
 
 
-class StopProcess(SimulationError):
-    """Internal signal used to terminate a process early.
-
-    Raised inside a process generator by :meth:`Process.interrupt` with
-    ``kill=True``.  User code normally never sees this.
-    """
-
-
 class Interrupt(SimulationError):
     """Thrown into a process when another process interrupts it.
 

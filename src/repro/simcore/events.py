@@ -230,8 +230,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with the outcome of ``event``."""
-        env = self.env
-        env._active_process = self
         self._waiting_on = None
         # Localise the generator methods: this function runs once per
         # event in the simulation, and the repeated attribute loads are
@@ -246,16 +244,13 @@ class Process(Event):
                     event._defused = True
                     target = gen.throw(event._value)
             except StopIteration as exc:
-                env._active_process = None
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(target, Event):
-                env._active_process = None
                 err = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {target!r}"
                 )
@@ -272,7 +267,6 @@ class Process(Event):
                 # Not yet processed: register and suspend.
                 target.callbacks.append(self._resume)
                 self._waiting_on = target
-                env._active_process = None
                 return
             # Already processed: loop and feed its value immediately.
             event = target

@@ -94,13 +94,14 @@ class FairShareChannel:
         self._wake_event: object = None
         self._wake_cb = self._on_wake
         # Batched same-timestamp cascades (mirrors FlowNetwork): a
-        # population change marks the channel dirty and defers one
-        # reschedule to the environment's end-of-timestamp hook instead
-        # of rescheduling per submit.  Completions stay
-        # eager (the first touch of a timestamp advances and pops due
-        # jobs), so event ordering is unchanged.
-        self._dirty = False
-        self._flush_cb_bound = self._flush_cb
+        # population change defers one reschedule to the environment's
+        # end-of-timestamp hook instead of rescheduling per submit.
+        # Completions stay eager (the first touch of a timestamp
+        # advances and pops due jobs), so event ordering is unchanged.
+        # Every touch re-defers (moving the callback to the back of the
+        # flush list), so flush order tracks the *last* touch — see
+        # Environment.defer.
+        self._flush_bound = self._flush
         #: Cumulative dedicated-service seconds completed (utilisation metric).
         self.total_work_done = 0.0
         #: Total operations submitted.
@@ -136,7 +137,7 @@ class FairShareChannel:
             self._jobs[self._next_id] = _ChannelJob(work, done)
             if work < self._min_left:
                 self._min_left = work
-        self._mark_dirty()
+        self.env.defer(self._flush_bound)
         return done
 
     def current_work_done(self) -> float:
@@ -152,14 +153,6 @@ class FairShareChannel:
             return self.total_work_done
         elapsed = max(0.0, self.env.now - self._last_update)
         return self.total_work_done + elapsed * self._service_rate(n)
-
-    def estimated_finish(self, work: float) -> float:
-        """Crude finish-time estimate if ``work`` were submitted now.
-
-        Assumes the current population stays constant — used only by
-        advisory schedulers, never by the channel itself.
-        """
-        return self.env.now + work * (len(self._jobs) + 1)
 
     # -- internals -----------------------------------------------------------
 
@@ -208,25 +201,13 @@ class FairShareChannel:
                         jobs.pop(jid).event.succeed()
         self._last_update = now
 
-    def _mark_dirty(self) -> None:
-        # Every touch re-defers (moving the callback to the back of the
-        # flush list), so flush order tracks the *last* touch — see
-        # Environment.defer.
-        self._dirty = True
-        self.env.defer(self._flush_cb_bound)
-
-    def _flush_cb(self) -> None:
-        if self._dirty:
-            self._flush()
-
     def _flush(self) -> None:
         """Schedule the wakeup for the soonest completion.
 
-        Runs once per dirtied timestamp from the end-of-timestamp hook:
+        Runs once per touched timestamp from the end-of-timestamp hook:
         one reschedule per batch of same-timestamp submits, where the
         eager kernel scanned per submit.
         """
-        self._dirty = False
         n = len(self._jobs)
         if not n:
             return
@@ -240,4 +221,4 @@ class FairShareChannel:
         if event is not self._wake_event:
             return  # population changed since this wakeup was scheduled
         self._advance()
-        self._mark_dirty()
+        self.env.defer(self._flush_bound)

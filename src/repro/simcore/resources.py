@@ -1,4 +1,4 @@
-"""Shared-resource primitives: Resource, PriorityResource, Container, Store.
+"""Shared-resource primitives: Resource, Container, Store.
 
 These model the contended entities of the simulated cluster: CPU slots
 (Resource), node memory (Container), and queues of work items (Store).
@@ -14,7 +14,6 @@ All follow the request/event idiom::
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, Any, List
 
 from .errors import NotPending
@@ -108,56 +107,6 @@ class Resource:
             if self._in_use + head.amount > self.capacity:
                 break
             self._waiters.pop(0)
-            self._in_use += head.amount
-            head.succeed()
-
-
-class PriorityRequest(Request):
-    """Request with a priority key (lower = served first)."""
-
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, env: "Environment", resource: "PriorityResource",
-                 amount: int = 1, priority: float = 0.0) -> None:
-        super().__init__(env, resource, amount)
-        self.priority = priority
-        self._order = 0  # assigned by the resource for FIFO tie-break
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are served by priority."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._counter = 0
-
-    def request(self, amount: int = 1,  # type: ignore[override]
-                priority: float = 0.0) -> PriorityRequest:
-        if amount <= 0 or amount > self.capacity:
-            raise ValueError(
-                f"amount {amount} out of range for capacity {self.capacity}"
-            )
-        req = PriorityRequest(self.env, self, amount, priority)
-        self._counter += 1
-        req._order = self._counter
-        heapq.heappush(self._waiters, req)  # type: ignore[arg-type]
-        self._grant()
-        return req
-
-    def _withdraw(self, request: Request) -> None:
-        self._waiters.remove(request)
-        heapq.heapify(self._waiters)  # type: ignore[arg-type]
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._waiters:
-            head = self._waiters[0]
-            if self._in_use + head.amount > self.capacity:
-                break
-            heapq.heappop(self._waiters)  # type: ignore[arg-type]
             self._in_use += head.amount
             head.succeed()
 

@@ -102,12 +102,6 @@ def test_run_until_unreachable_event_deadlocks():
         env.run(until=ev)
 
 
-def test_step_on_empty_queue_deadlocks():
-    env = Environment()
-    with pytest.raises(SimulationDeadlock):
-        env.step()
-
-
 def test_events_fire_in_time_order():
     env = Environment()
     order = []
@@ -362,3 +356,141 @@ def test_many_processes_complete():
         env.process(proc(env, i))
     env.run()
     assert sorted(done) == list(range(500))
+
+
+# ------------------------------------------------------ end-of-timestamp flush
+
+
+def _at(env, t, fn):
+    """Call ``fn()`` when the clock reaches ``t``."""
+    env.timeout(t - env.now).callbacks.append(lambda _ev: fn())
+
+
+def _deferred_after_cascade(env, log, note):
+    # (a) A flush deferred at t runs after every event at t, including
+    # the same-time cascade, and before any later event.
+    def x():
+        note("x")()
+        env.defer(note("flush"))
+        _at(env, env.now, note("x-cascade"))
+    _at(env, 1.0, x)
+    _at(env, 1.0, note("y"))
+    _at(env, 2.0, note("z"))
+    return 2.0, [("x", 1.0), ("y", 1.0), ("x-cascade", 1.0),
+                 ("flush", 1.0), ("z", 2.0)]
+
+
+def _redefer_moves_to_back(env, log, note):
+    # (b) Flush order follows each callback's last touch.
+    a, b = note("a"), note("b")
+
+    def touch():
+        env.defer(a)
+        env.defer(b)
+        env.defer(a)
+    _at(env, 1.0, touch)
+    return 1.0, [("b", 1.0), ("a", 1.0)]
+
+
+def _flush_defers_flush(env, log, note):
+    # (c) A flush that defers another callback drains it in the same pass.
+    def a():
+        note("a")()
+        env.defer(note("b"))
+    _at(env, 1.0, lambda: env.defer(a))
+    _at(env, 2.0, note("z"))
+    return 2.0, [("a", 1.0), ("b", 1.0), ("z", 2.0)]
+
+
+def _flush_at_deadline(env, log, note):
+    # (d) Events at exactly the deadline are processed, and so are the
+    # flushes due there and the same-time events those flushes schedule.
+    def flush():
+        note("flush")()
+        _at(env, env.now, note("cascade"))
+
+    def x():
+        note("x")()
+        env.defer(flush)
+    _at(env, 5.0, x)
+    _at(env, 6.0, note("later"))
+    return 5.0, [("x", 5.0), ("flush", 5.0), ("cascade", 5.0),
+                 ("later", 6.0)]
+
+
+def _flush_on_empty_queue(env, log, note):
+    # (e) Pending flushes run when the queue empties, and the events
+    # they schedule are then processed.
+    def flush():
+        note("flush")()
+        _at(env, env.now + 2.0, note("y"))
+
+    def x():
+        note("x")()
+        env.defer(flush)
+    _at(env, 3.0, x)
+    return 3.0, [("x", 3.0), ("flush", 3.0), ("y", 5.0)]
+
+
+@pytest.mark.parametrize("mode", ["run", "until_t", "until_ev"])
+@pytest.mark.parametrize("scenario", [
+    _deferred_after_cascade,
+    _redefer_moves_to_back,
+    _flush_defers_flush,
+    _flush_at_deadline,
+    _flush_on_empty_queue,
+], ids=lambda fn: fn.__name__.lstrip("_"))
+def test_defer_semantics(scenario, mode):
+    """Each scenario logs ``(tag, now)``; ``horizon`` is its last
+    scheduled time.  ``run(until=horizon)`` and ``run(until=ev)`` with
+    ``ev`` half a unit later must stop after everything due by then, a
+    plain ``run()`` after everything; a second ``run()`` drains the
+    rest, so all three modes see the same log around the stop marker.
+    """
+    env = Environment()
+    log = []
+
+    def note(tag):
+        return lambda *_: log.append((tag, env.now))
+
+    horizon, expected = scenario(env, log, note)
+    if mode == "run":
+        env.run()
+        stop = expected[-1][1]
+    elif mode == "until_t":
+        env.run(until=horizon)
+        stop = horizon
+    else:
+        stop = horizon + 0.5
+        env.run(until=env.timeout(stop))
+    assert env.now == stop
+    log.append(("return", env.now))
+    env.run()
+    assert log == ([e for e in expected if e[1] <= stop] + [("return", stop)]
+                   + [e for e in expected if e[1] > stop])
+
+
+@pytest.mark.parametrize("ok", [True, False], ids=["ok", "failed"])
+def test_run_until_processed_event_leaves_queue_alone(ok):
+    # (f) An already-processed sentinel returns or re-raises at once.
+    env = Environment()
+    ev = env.event()
+
+    def run_until_ev():
+        if ok:
+            assert env.run(until=ev) == "value"
+        else:
+            with pytest.raises(RuntimeError, match="boom"):
+                env.run(until=ev)
+
+    if ok:
+        ev.succeed("value")
+    else:
+        ev.fail(RuntimeError("boom"))
+    run_until_ev()
+    env.timeout(5.0)
+    env.defer(lambda: pytest.fail("flush ran"))
+    queued = len(env._queue)
+    run_until_ev()
+    assert len(env._queue) == queued
+    assert env.now == 0.0

@@ -1,4 +1,4 @@
-"""Unit tests for Resource, PriorityResource, Container, Store."""
+"""Unit tests for Resource, Container, Store."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.simcore import (
     Container,
     Environment,
     NotPending,
-    PriorityResource,
     Resource,
     Store,
 )
@@ -135,58 +134,6 @@ def test_resource_no_overtaking():
     env.process(small(env))
     env.run()
     assert order == ["holder", "big", "small"]
-
-
-# ------------------------------------------------------- PriorityResource
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request()
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def user(env, prio, tag, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    env.process(holder(env))
-    env.process(user(env, 5, "low", 1.0))
-    env.process(user(env, 1, "high", 2.0))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request()
-        yield req
-        yield env.timeout(5.0)
-        res.release(req)
-
-    def user(env, tag, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=1)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    env.process(holder(env))
-    env.process(user(env, "first", 1.0))
-    env.process(user(env, "second", 2.0))
-    env.run()
-    assert order == ["first", "second"]
 
 
 # --------------------------------------------------------------- Container
