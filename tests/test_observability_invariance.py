@@ -77,6 +77,54 @@ GOLDEN_CHAINS = {
     ("broadband", "nfs", 2, 23):
         "4b7ba3087e26e8f3960e5551434f1891dc047d25a41351dc0c392c091fe1463f",
 }
+
+# The same 20 scenarios, pinned order-free: sha256 over the *sorted*
+# canonical trace lines plus the makespan/cost tail.  A change that
+# only reorders same-timestamp records moves ``GOLDEN_CHAINS`` but
+# must leave these alone; a change to what the simulation does or
+# when it does it moves both.
+GOLDEN_RECORD_SETS = {
+    ("synthetic", "local", 1, 0):
+        "316a2555dd63ff94066e32db3e31e332f28d586d2f0277e4b166e3a993b99a22",
+    ("synthetic", "local", 1, 1):
+        "5b16cb2b5461ec1973b1dcf4128f704210483071321c4d14fd14e111727a842b",
+    ("synthetic", "nfs", 2, 0):
+        "7273edcec0f7e3b9879a7f6e162aff2ab8026faee8ecd41e0c02cfabf626a662",
+    ("synthetic", "nfs", 4, 7):
+        "f2aa490300c498d9679265864983f64a8fecf8faff6fc56b83f8d3907ae96d86",
+    ("synthetic", "s3", 2, 0):
+        "0dda6a8adf40db6639435741f1ba05548232b749188a23de5568690a1e80d8b4",
+    ("synthetic", "s3", 4, 3):
+        "a7bf776ae2b56a8b2bc2745e12fd163c970a867eb8df116d0e1b1ee6205409b2",
+    ("synthetic", "pvfs", 2, 0):
+        "cb96a89118b7ee295da833e18c0d7e477c0af42ccadccd12e01905e76c927acb",
+    ("synthetic", "pvfs", 4, 5):
+        "89912fb7f008fbe25f31d5d773b0e3780732b1e25a493fc4feab1a21acbd831e",
+    ("synthetic", "glusterfs-nufa", 2, 0):
+        "7d53abbbf09081b9d4d3db3460c9bc9c1dd459436f8fbd342a278916eab5f92c",
+    ("synthetic", "glusterfs-nufa", 4, 11):
+        "b587bf45bc6fd9588be64d5bf0611a0df867eba9dfc1b3dfbad7fc22d6459e2a",
+    ("synthetic", "glusterfs-distribute", 2, 0):
+        "fbd97ed40a4b06a1f32b1130a2bf34ee3ef268ade85727a422951803b2a5b3e1",
+    ("synthetic", "glusterfs-distribute", 4, 13):
+        "e67ea9acb281f2c6cd7d02b20370a04dd7e15440cefdd19f33cc9733e6d9b979",
+    ("montage", "local", 1, 0):
+        "062e389d19e48d10715423bde45134ee0e6256ea9cd45aaf058d69e889e5d2fd",
+    ("montage", "nfs", 2, 42):
+        "3a5c29848e04d9eb0b78f85239d4886cd109eb3383ce19a842d013bdfc728a89",
+    ("montage", "s3", 2, 0):
+        "5247ea91b3847bf0515fab5d87153528a54ce0d60565d5e75b6f0924abd115b2",
+    ("montage", "glusterfs-nufa", 2, 17):
+        "735f087d8e7fb310810a5233c05b089516a017ec7ccca4e4a4248f53be2fd944",
+    ("epigenome", "nfs", 2, 0):
+        "abfabb7dd7055cef1349278b4dcedeea3b23cc851196c4f23beabd6694439914",
+    ("epigenome", "pvfs", 2, 42):
+        "064fbfb2532456878337e3a28e9fcb0a18e3a760c6b2efc94d7de7421809d46c",
+    ("broadband", "s3", 2, 0):
+        "aa094cc5d85552fe38489a87b9b48813e03550609baf6589348c7ed2387a8ae9",
+    ("broadband", "nfs", 2, 23):
+        "5c83ea5ef538ba79fa0b4fdccb7885c03d8aa9bb601d9663aa171d6027d65d5e",
+}
 SCENARIOS = list(GOLDEN_CHAINS)
 
 
@@ -110,6 +158,20 @@ def _hash_chain(result):
     return chain.hexdigest()
 
 
+def _record_set(result):
+    """sha256 over the *sorted* canonical trace lines + the same tail."""
+    lines = sorted(canonical_event(rec.time, rec.category, rec.event,
+                                   rec.fields)
+                   for rec in result.trace.records)
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode())
+        digest.update(b"\n")
+    digest.update((f"makespan={result.run.makespan!r}"
+                   f"|cost={result.cost.per_second_total!r}").encode())
+    return digest.hexdigest()
+
+
 def _run_bare(config, workflow):
     (result,) = run_sweep([config], workflow=workflow)
     return result
@@ -140,6 +202,7 @@ def test_digest_invariant_under_full_observability(scenario, tmp_path):
     workflow = small_workflow(app)
     config = _config(app, storage, nodes, seed)
     bare = _run_bare(config, workflow)
+    assert _record_set(bare) == GOLDEN_RECORD_SETS[scenario]
     assert _hash_chain(bare) == GOLDEN_CHAINS[scenario]
     observed = _run_fully_observed(config, workflow, tmp_path)
     assert _hash_chain(observed) == _hash_chain(bare)
