@@ -22,14 +22,14 @@ def _measure(device_factory, op, nbytes=200 * MB, repeat_key=None):
 
     def proc():
         if repeat_key is not None:   # touch first so the op is a re-write
-            yield from disk.write(repeat_key, nbytes)
+            yield disk.write(repeat_key, nbytes)
         t0 = env.now
         if op == "read":
-            yield from disk.read(nbytes)
+            yield disk.read(nbytes)
         elif op == "write":
-            yield from disk.write(repeat_key or "x", nbytes)
+            yield disk.write(repeat_key or "x", nbytes)
         else:
-            yield from disk.zero_fill(nbytes)
+            yield disk.zero_fill(nbytes)
         return nbytes / (env.now - t0) / MB
 
     return env.run(until=env.process(proc()))
@@ -50,7 +50,7 @@ def _all_measurements():
     disk = make_node_disk(env, ndisks=4)
 
     def fill():
-        yield from disk.zero_fill(50_000 * MB)
+        yield disk.zero_fill(50_000 * MB)
 
     env.run(until=env.process(fill()))
     rows["disk.zero_fill_50gb_minutes"] = env.now / 60.0

@@ -21,7 +21,7 @@ Contention is egalitarian processor sharing over the device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional, Set
+from typing import TYPE_CHECKING, Optional, Set
 
 from ..simcore.pipes import FairShareChannel
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
@@ -29,6 +29,7 @@ from .types import MB
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcore.engine import Environment
+    from ..simcore.events import Event
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,12 @@ def raid0(profile: DiskProfile, ndisks: int,
 class BlockDevice:
     """A contended block device with first-write tracking.
 
-    All operations are generators intended for ``yield from`` inside a
-    simulation process::
+    Every operation returns its completion event, to be yielded (alone
+    or inside ``all_of``) by a simulation process::
 
-        yield from disk.write("f1", 8 * MB)   # first write: slow
-        yield from disk.read(8 * MB)           # fast
-        yield from disk.write("f1", 8 * MB)   # re-write: fast
+        yield disk.write("f1", 8 * MB)   # first write: slow
+        yield disk.read(8 * MB)          # fast
+        yield disk.write("f1", 8 * MB)   # re-write: fast
 
     Extents are tracked per caller-supplied key (file id in the storage
     layer; block ranges are below model fidelity since the workloads
@@ -146,14 +147,14 @@ class BlockDevice:
 
     # -- operations ----------------------------------------------------------
 
-    def read(self, nbytes: float) -> Generator:
+    def read(self, nbytes: float) -> "Event":
         """Read ``nbytes`` (PS-shared at the device's read bandwidth)."""
         self.reads += 1
         self.bytes_read += nbytes
         self.trace.emit(self.env.now, "disk", "read", disk=self.name, nbytes=nbytes)
-        yield from self._op(nbytes, self.profile.read_bw)
+        return self._op(nbytes, self.profile.read_bw)
 
-    def write(self, key: object, nbytes: float) -> Generator:
+    def write(self, key: object, nbytes: float) -> "Event":
         """Write ``nbytes`` to extent ``key``.
 
         The first write to a key pays the first-write bandwidth;
@@ -166,15 +167,15 @@ class BlockDevice:
         bw = self.profile.first_write_bw if first else self.profile.rewrite_bw
         self.trace.emit(self.env.now, "disk", "write", disk=self.name,
                         nbytes=nbytes, first=first)
-        yield from self._op(nbytes, bw)
+        return self._op(nbytes, bw)
 
-    def zero_fill(self, nbytes: float) -> Generator:
+    def zero_fill(self, nbytes: float) -> "Event":
         """Pre-initialise ``nbytes`` of storage (Amazon's suggested
         mitigation).  Runs at first-write speed and marks the special
         whole-device extent as touched for bookkeeping."""
         self.trace.emit(self.env.now, "disk", "zero_fill", disk=self.name,
                         nbytes=nbytes)
-        yield from self._op(nbytes, self.init_bw)
+        return self._op(nbytes, self.init_bw)
 
     def forget(self, key: object) -> None:
         """Drop extent state for ``key`` (file deleted)."""
@@ -197,13 +198,15 @@ class BlockDevice:
 
     # -- internals -------------------------------------------------------------
 
-    def _op(self, nbytes: float, bw: float) -> Generator:
+    def _op(self, nbytes: float, bw: float) -> "Event":
+        """The completion event of ``nbytes`` at ``bw``; the channel
+        phase starts after the profile's ``op_latency``."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        if self.profile.op_latency > 0:
-            yield self.env.timeout(self.profile.op_latency)
-        if nbytes > 0:
-            yield self._channel.submit(nbytes / bw)
+        if nbytes == 0:
+            return self.env.timeout(self.profile.op_latency)
+        return self.env.start_after(self.profile.op_latency,
+                                    self._channel.submit, nbytes / bw)
 
 
 def make_node_disk(env: "Environment", ndisks: int = 4,

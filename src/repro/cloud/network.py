@@ -13,7 +13,7 @@ traverse (see :mod:`repro.simcore.flownet`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..simcore.flownet import FlowNetwork, Link
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
@@ -21,6 +21,9 @@ from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
 if TYPE_CHECKING:  # pragma: no cover
     from ..simcore.engine import Environment
     from ..simcore.events import Event
+
+#: One-way latency between instances in the same zone (s).
+INTRA_ZONE_LATENCY = 0.0003
 
 
 class Endpoint:
@@ -37,9 +40,6 @@ class Endpoint:
 
 class ClusterNetwork:
     """The star fabric connecting instances and services."""
-
-    #: Default one-way latency between instances in the same zone (s).
-    INTRA_ZONE_LATENCY = 0.0003
 
     def __init__(self, env: "Environment",
                  trace: TraceCollector = NULL_COLLECTOR) -> None:
@@ -80,30 +80,23 @@ class ClusterNetwork:
     # -- transfers --------------------------------------------------------------
 
     def transfer(self, src: Endpoint, dst: Endpoint, nbytes: float,
-                 max_rate: Optional[float] = None,
-                 latency: Optional[float] = None) -> Generator:
-        """Move ``nbytes`` from ``src`` to ``dst`` (generator; yield from).
+                 max_rate: Optional[float] = None) -> "Event":
+        """Move ``nbytes`` from ``src`` to ``dst``; returns the event
+        that fires on delivery of the last byte.
 
-        The flow traverses the source transmit link and the destination
-        receive link; ``max_rate`` models a per-stream ceiling (single
-        TCP connection to S3, for instance).
+        The flow starts after the intra-zone latency and traverses the
+        source transmit link and the destination receive link;
+        ``max_rate`` models a per-stream ceiling (single TCP connection
+        to S3, for instance).
         """
         if src is dst:
             # Loopback: no network involved.
-            return
+            return self.env.timeout(0)
         self.bytes_transferred += nbytes
         self.trace.emit(self.env.now, "net", "transfer", src=src.name,
                         dst=dst.name, nbytes=nbytes)
-        lat = self.INTRA_ZONE_LATENCY if latency is None else latency
-        if lat > 0:
-            yield self.env.timeout(lat)
         if nbytes > 0:
-            yield self.flows.transfer([src.tx, dst.rx], nbytes, max_rate=max_rate)
-
-    def transfer_event(self, src: Endpoint, dst: Endpoint, nbytes: float,
-                       max_rate: Optional[float] = None) -> "Event":
-        """Like :meth:`transfer` but returns an event (for fan-out)."""
-        return self.env.process(
-            self.transfer(src, dst, nbytes, max_rate=max_rate),
-            name=f"xfer:{src.name}->{dst.name}",
-        )
+            return self.env.start_after(INTRA_ZONE_LATENCY,
+                                        self.flows.transfer,
+                                        [src.tx, dst.rx], nbytes, max_rate)
+        return self.env.timeout(INTRA_ZONE_LATENCY)

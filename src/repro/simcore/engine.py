@@ -69,6 +69,24 @@ class Environment:
         """Spawn a process from a generator; returns the Process event."""
         return Process(self, generator, name=name)
 
+    def start_after(self, delay: float, start: Callable[..., Event],
+                    *args: Any) -> Event:
+        """Call ``start(*args)`` ``delay`` from now; return an event that
+        fires when the event ``start`` returned fires.
+
+        This is how the disk and network kernels put a fixed latency in
+        front of an operation without a process: the start runs as a
+        timeout callback and the caller can yield the returned event,
+        or combine it with others, at once.
+        """
+        done = Event(self)
+
+        def _start(_: Event) -> None:
+            start(*args).callbacks.append(done.trigger)
+
+        Timeout(self, delay).callbacks.append(_start)
+        return done
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event firing once all of ``events`` have fired."""
         return AllOf(self, events)

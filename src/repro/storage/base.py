@@ -9,9 +9,11 @@ The executor interacts with storage in exactly two ways:
 * :meth:`StorageSystem.write` — persist a program's freshly produced
   file from a node.
 
-Both are generators driven with ``yield from`` inside the executing
-task's process, so all contention (disks, NICs, server queues) is
-shared with everything else happening on the cluster.
+Both are generators run inside the executing task's process.  A
+backend composes each from the completion events that the disk, network
+and server-queue kernels return: it yields one event, or ``all_of`` /
+``&`` of pipelined stages, and spawns no process of its own.  All
+contention is therefore shared with everything else on the cluster.
 
 Systems advertise an access ``mode``:
 

@@ -111,20 +111,16 @@ class GlusterFSStorage(StorageSystem):
             # owner's kernel page cache — only the wire is paid.
             owner_pc = self._page_caches[owner.name]
             if owner_pc.lookup(meta.name):
-                yield from self._peer_transfer(owner, node, meta.size)
+                yield owner.network.transfer(owner.nic, node.nic, meta.size)
             else:
                 # Cold: the owner reads its disk and streams to the
                 # client; disk and wire pipeline, the slower dominates.
-                disk_ev = self.env.process(
-                    self._owner_disk_read(owner, meta.size),
-                    name=f"gluster-read:{meta.name}")
-                net_ev = self.env.process(
-                    self._peer_transfer(owner, node, meta.size),
-                    name=f"gluster-net:{meta.name}")
-                yield disk_ev & net_ev
+                yield (owner.disk.read(meta.size)
+                       & owner.network.transfer(owner.nic, node.nic,
+                                                meta.size))
                 owner_pc.insert(meta.name, meta.size)
         else:
-            yield from node.disk.read(meta.size)
+            yield node.disk.read(meta.size)
         self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
@@ -139,27 +135,10 @@ class GlusterFSStorage(StorageSystem):
         yield self.env.timeout(
             self.REMOTE_OP_LATENCY if remote else self.LOCAL_OP_LATENCY)
         if remote:
-            net_ev = self.env.process(
-                self._peer_transfer(node, owner, meta.size),
-                name=f"gluster-wnet:{meta.name}")
-            disk_ev = self.env.process(
-                self._owner_disk_write(owner, meta),
-                name=f"gluster-wdisk:{meta.name}")
-            yield net_ev & disk_ev
+            yield (node.network.transfer(node.nic, owner.nic, meta.size)
+                   & owner.disk.write((self.name, meta.name), meta.size))
             # The landed file is hot in the owner's page cache too.
             self._page_caches[owner.name].insert(meta.name, meta.size)
         else:
-            yield from node.disk.write((self.name, meta.name), meta.size)
+            yield node.disk.write((self.name, meta.name), meta.size)
         self._page_cache_insert(node, meta)
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _owner_disk_read(self, owner: "VMInstance", nbytes: float) -> Generator:
-        yield from owner.disk.read(nbytes)
-
-    def _owner_disk_write(self, owner: "VMInstance", meta: FileMetadata) -> Generator:
-        yield from owner.disk.write((self.name, meta.name), meta.size)
-
-    def _peer_transfer(self, src: "VMInstance", dst: "VMInstance",
-                       nbytes: float) -> Generator:
-        yield from src.network.transfer(src.nic, dst.nic, nbytes)

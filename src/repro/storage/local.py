@@ -42,13 +42,13 @@ class LocalDiskStorage(StorageSystem):
             return
         self.stats.cache_misses += 1
         yield self.env.timeout(self.OP_LATENCY)
-        yield from node.disk.read(meta.size)
+        yield node.disk.read(meta.size)
         self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
         self._require_deployed()
         self._count_write(meta, remote=False)
         yield self.env.timeout(self.OP_LATENCY)
-        yield from node.disk.write(("local", meta.name), meta.size)
+        yield node.disk.write(("local", meta.name), meta.size)
         # Freshly written pages stay resident (write-back cache).
         self._page_cache_insert(node, meta)

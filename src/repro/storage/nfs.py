@@ -230,17 +230,16 @@ class NFSStorage(StorageSystem):
         self._count_read(meta, remote=True)
         # The nfsd service path, the wire, and (on a page-cache miss)
         # the server disk pipeline; the slowest stage dominates.
+        server = self.server
         stages = [
-            self.env.process(self._rpc_work(meta.size), name="nfs-rpc"),
-            self.env.process(self._net(self.server, node, meta.size),
-                             name="nfs-net"),
+            self._rpc.submit(meta.size / self._rpc_bw),
+            server.network.transfer(server.nic, node.nic, meta.size),
         ]
         if hit:
             self.stats.cache_hits += 1
         else:
             self.stats.cache_misses += 1
-            stages.append(self.env.process(
-                self._server_disk_read(meta.size), name="nfs-disk"))
+            stages.append(server.disk.read(meta.size))
         yield self.env.all_of(stages)
         if not hit:
             self._cache_insert(meta.name, meta.size, dirty=False)
@@ -258,10 +257,12 @@ class NFSStorage(StorageSystem):
         quota_get = self._dirty_quota.get(claim)
         try:
             yield quota_get
+            # Orphaned by an interrupt, these stages still run to
+            # completion: the bytes already on the wire are not recalled.
             yield self.env.all_of([
-                self.env.process(self._rpc_work(meta.size), name="nfs-rpc"),
-                self.env.process(self._net(node, self.server, meta.size),
-                                 name="nfs-net"),
+                self._rpc.submit(meta.size / self._rpc_bw),
+                self.server.network.transfer(node.nic, self.server.nic,
+                                             meta.size),
             ])
         except Interrupt:
             if quota_get.triggered:
@@ -278,23 +279,12 @@ class NFSStorage(StorageSystem):
             self.env.process(self._flusher(), name="nfs-flusher")
         self._flush_queue.put(meta)
 
-    def _rpc_work(self, nbytes: float) -> Generator:
-        """Consume nfsd service capacity for ``nbytes`` of payload."""
-        yield self._rpc.submit(nbytes / self._rpc_bw)
-
-    def _net(self, src: "VMInstance", dst: "VMInstance",
-             nbytes: float) -> Generator:
-        yield from self.server.network.transfer(src.nic, dst.nic, nbytes)
-
-    def _server_disk_read(self, nbytes: float) -> Generator:
-        yield from self.server.disk.read(nbytes)
-
     def _flusher(self) -> Generator:
         """The write-back daemon: drains dirty files to the server
         disk one batch at a time (a single sequential stream)."""
         while True:
             meta = yield self._flush_queue.get()
-            yield from self.server.disk.write(("nfs", meta.name), meta.size)
+            yield self.server.disk.write(("nfs", meta.name), meta.size)
             if meta.name in self._dirty:
                 self._dirty.discard(meta.name)
                 # Now clean at its current recency: becomes evictable.

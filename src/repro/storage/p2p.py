@@ -47,8 +47,6 @@ class DirectTransferStorage(StorageSystem):
         super().__init__(env, trace=trace)
         #: file name -> node names holding a replica.
         self._replicas: Dict[str, Set[str]] = {}
-        #: producing node of each file (for diagnostics).
-        self._producer: Dict[str, str] = {}
         self._inflight: Dict[Tuple[str, str], Event] = {}
         self._stage_counter = 0
 
@@ -60,7 +58,6 @@ class DirectTransferStorage(StorageSystem):
         owner = self.workers[self._stage_counter % len(self.workers)]
         self._stage_counter += 1
         self._replicas[meta.name] = {owner.name}
-        self._producer[meta.name] = owner.name
         owner.disk._touched.add((self.name, meta.name))
 
     # -- introspection -----------------------------------------------------
@@ -85,7 +82,7 @@ class DirectTransferStorage(StorageSystem):
                 self.stats.cache_hits += 1
                 yield self.env.timeout(PC_HIT_LATENCY)
                 return
-            yield from node.disk.read(meta.size)
+            yield node.disk.read(meta.size)
             self._page_cache_insert(node, meta)
             return
         self.stats.cache_misses += 1
@@ -94,16 +91,15 @@ class DirectTransferStorage(StorageSystem):
         if self._page_cache_hit(node, meta):
             yield self.env.timeout(PC_HIT_LATENCY)
         else:
-            yield from node.disk.read(meta.size)
+            yield node.disk.read(meta.size)
             self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
         self._require_deployed()
         self._count_write(meta, remote=False)
-        yield from node.disk.write((self.name, meta.name), meta.size)
+        yield node.disk.write((self.name, meta.name), meta.size)
         self._page_cache_insert(node, meta)
         self._replicas.setdefault(meta.name, set()).add(node.name)
-        self._producer.setdefault(meta.name, node.name)
 
     # -- helpers -------------------------------------------------------------------
 
@@ -125,30 +121,18 @@ class DirectTransferStorage(StorageSystem):
             # name so runs are reproducible across processes).
             source = min((self._by_name[h] for h in sorted(holders)),
                          key=lambda w: w.nic.tx.active_flows)
-            stages = [self.env.process(
-                self._net(source, node, meta.size), name="p2p-net")]
+            stages = [source.network.transfer(source.nic, node.nic,
+                                              meta.size)]
             # The source serves from its page cache when hot.
             src_pc = self._page_caches[source.name]
             if not src_pc.lookup(meta.name):
-                stages.append(self.env.process(
-                    self._src_disk(source, meta.size), name="p2p-disk"))
+                stages.append(source.disk.read(meta.size))
                 src_pc.insert(meta.name, meta.size)
             # Landing write on the consumer.
-            stages.append(self.env.process(
-                self._dst_disk(node, meta), name="p2p-land"))
+            stages.append(node.disk.write((self.name, meta.name), meta.size))
             yield self.env.all_of(stages)
             self._replicas[meta.name].add(node.name)
             self._page_cache_insert(node, meta)
         finally:
             del self._inflight[key]
             done.succeed()
-
-    def _net(self, src: "VMInstance", dst: "VMInstance",
-             nbytes: float) -> Generator:
-        yield from src.network.transfer(src.nic, dst.nic, nbytes)
-
-    def _src_disk(self, src: "VMInstance", nbytes: float) -> Generator:
-        yield from src.disk.read(nbytes)
-
-    def _dst_disk(self, dst: "VMInstance", meta: FileMetadata) -> Generator:
-        yield from dst.disk.write((self.name, meta.name), meta.size)

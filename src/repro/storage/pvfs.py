@@ -114,27 +114,15 @@ class PVFSStorage(StorageSystem):
                      nbytes: float) -> Generator:
         if server is not client:
             # Server disk and wire pipeline; both must finish.
-            disk_ev = self.env.process(self._disk_read(server, nbytes))
-            net_ev = self.env.process(self._net(server, client, nbytes))
-            yield disk_ev & net_ev
+            yield (server.disk.read(nbytes)
+                   & server.network.transfer(server.nic, client.nic, nbytes))
         else:
-            yield from server.disk.read(nbytes)
+            yield server.disk.read(nbytes)
 
     def _stripe_write(self, server: "VMInstance", client: "VMInstance",
                       meta: FileMetadata, nbytes: float) -> Generator:
         if server is not client:
-            net_ev = self.env.process(self._net(client, server, nbytes))
-            disk_ev = self.env.process(self._disk_write(server, meta, nbytes))
-            yield net_ev & disk_ev
+            yield (client.network.transfer(client.nic, server.nic, nbytes)
+                   & server.disk.write((self.name, meta.name), nbytes))
         else:
-            yield from server.disk.write((self.name, meta.name), nbytes)
-
-    def _disk_read(self, server: "VMInstance", nbytes: float) -> Generator:
-        yield from server.disk.read(nbytes)
-
-    def _disk_write(self, server: "VMInstance", meta: FileMetadata,
-                    nbytes: float) -> Generator:
-        yield from server.disk.write((self.name, meta.name), nbytes)
-
-    def _net(self, src: "VMInstance", dst: "VMInstance", nbytes: float) -> Generator:
-        yield from src.network.transfer(src.nic, dst.nic, nbytes)
+            yield server.disk.write((self.name, meta.name), nbytes)

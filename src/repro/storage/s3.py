@@ -126,7 +126,7 @@ class S3Storage(StorageSystem):
         if self._page_cache_hit(node, meta):
             yield self.env.timeout(PC_HIT_LATENCY)
         else:
-            yield from node.disk.read(meta.size)
+            yield node.disk.read(meta.size)
             self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
@@ -134,18 +134,16 @@ class S3Storage(StorageSystem):
         self._require_deployed()
         self._count_write(meta, remote=True)
         # Program -> disk (first write; pays the ephemeral penalty).
-        yield from node.disk.write(("s3cache", meta.name), meta.size)
+        yield node.disk.write(("s3cache", meta.name), meta.size)
         self._page_cache_insert(node, meta)
         # Disk -> S3: the client reads the file back (from RAM if the
         # just-written pages are still resident) and uploads it.
         self.stats.put_requests += 1
         yield self.env.timeout(self.PUT_LATENCY)
-        stages = [self.env.process(self._upload(node, meta.size),
-                                   name=f"s3-put:{meta.name}")]
+        stages = [self.cloud.network.transfer(
+            node.nic, self.endpoint, meta.size, max_rate=self.PER_STREAM_BW)]
         if not self._page_cache_hit(node, meta):
-            stages.append(self.env.process(
-                self._disk_read(node, meta.size),
-                name=f"s3-putread:{meta.name}"))
+            stages.append(node.disk.read(meta.size))
         yield self.env.all_of(stages)
         self._bucket.add(meta.name)
         # The output stays in the node cache for future jobs here.
@@ -169,28 +167,12 @@ class S3Storage(StorageSystem):
             self.stats.get_requests += 1
             yield self.env.timeout(self.GET_LATENCY)
             # Wire transfer and the local-disk landing write pipeline.
-            net_ev = self.env.process(self._download(node, meta.size),
-                                      name=f"s3-get:{meta.name}")
-            disk_ev = self.env.process(
-                self._disk_write(node, meta),
-                name=f"s3-getwrite:{meta.name}")
-            yield net_ev & disk_ev
+            yield (self.cloud.network.transfer(
+                       self.endpoint, node.nic, meta.size,
+                       max_rate=self.PER_STREAM_BW)
+                   & node.disk.write(("s3cache", meta.name), meta.size))
             self._cache[node.name].add(meta.name)
             self._page_cache_insert(node, meta)
         finally:
             del self._inflight[key]
             done.succeed()
-
-    def _download(self, node: "VMInstance", nbytes: float) -> Generator:
-        yield from self.cloud.network.transfer(
-            self.endpoint, node.nic, nbytes, max_rate=self.PER_STREAM_BW)
-
-    def _upload(self, node: "VMInstance", nbytes: float) -> Generator:
-        yield from self.cloud.network.transfer(
-            node.nic, self.endpoint, nbytes, max_rate=self.PER_STREAM_BW)
-
-    def _disk_read(self, node: "VMInstance", nbytes: float) -> Generator:
-        yield from node.disk.read(nbytes)
-
-    def _disk_write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        yield from node.disk.write(("s3cache", meta.name), meta.size)

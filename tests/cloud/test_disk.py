@@ -24,7 +24,7 @@ def test_first_write_is_slow():
 
     def proc():
         t0 = env.now
-        yield from disk.write("f", 100 * MB)
+        yield disk.write("f", 100 * MB)
         return env.now - t0
 
     elapsed = run(env, proc())
@@ -37,9 +37,9 @@ def test_rewrite_is_fast():
     disk = BlockDevice(env, EPHEMERAL_DISK)
 
     def proc():
-        yield from disk.write("f", 100 * MB)
+        yield disk.write("f", 100 * MB)
         t0 = env.now
-        yield from disk.write("f", 100 * MB)
+        yield disk.write("f", 100 * MB)
         return env.now - t0
 
     elapsed = run(env, proc())
@@ -52,9 +52,9 @@ def test_different_keys_each_pay_penalty():
     disk = BlockDevice(env, EPHEMERAL_DISK)
 
     def proc():
-        yield from disk.write("a", 20 * MB)
+        yield disk.write("a", 20 * MB)
         t0 = env.now
-        yield from disk.write("b", 20 * MB)
+        yield disk.write("b", 20 * MB)
         return env.now - t0
 
     elapsed = run(env, proc())
@@ -67,7 +67,7 @@ def test_read_bandwidth():
 
     def proc():
         t0 = env.now
-        yield from disk.read(110 * MB)
+        yield disk.read(110 * MB)
         return env.now - t0
 
     assert run(env, proc()) == pytest.approx(1.0, rel=0.01)
@@ -79,7 +79,7 @@ def test_initialized_disk_has_no_penalty():
 
     def proc():
         t0 = env.now
-        yield from disk.write("f", 95 * MB)
+        yield disk.write("f", 95 * MB)
         return env.now - t0
 
     assert run(env, proc()) == pytest.approx(1.0, rel=0.01)
@@ -111,7 +111,7 @@ def test_zero_fill_50gb_takes_about_42_minutes():
 
     def proc():
         t0 = env.now
-        yield from disk.zero_fill(50_000 * MB)
+        yield disk.zero_fill(50_000 * MB)
         return env.now - t0
 
     elapsed = run(env, proc())
@@ -126,7 +126,7 @@ def test_concurrent_io_shares_device():
     finish = []
 
     def proc():
-        yield from disk.read(10 * MB)
+        yield disk.read(10 * MB)
         finish.append(env.now)
 
     env.process(proc())
@@ -141,8 +141,8 @@ def test_counters():
     disk = BlockDevice(env, EPHEMERAL_DISK)
 
     def proc():
-        yield from disk.write("f", 10 * MB)
-        yield from disk.read(5 * MB)
+        yield disk.write("f", 10 * MB)
+        yield disk.read(5 * MB)
 
     run(env, proc())
     assert disk.writes == 1 and disk.reads == 1
@@ -155,10 +155,10 @@ def test_forget_restores_first_write():
     disk = BlockDevice(env, EPHEMERAL_DISK)
 
     def proc():
-        yield from disk.write("f", 20 * MB)
+        yield disk.write("f", 20 * MB)
         disk.forget("f")
         t0 = env.now
-        yield from disk.write("f", 20 * MB)
+        yield disk.write("f", 20 * MB)
         return env.now - t0
 
     assert run(env, proc()) == pytest.approx(1.0, rel=0.01)
@@ -177,7 +177,7 @@ def test_negative_io_rejected():
     disk = BlockDevice(env, EPHEMERAL_DISK)
 
     def proc():
-        yield from disk.read(-5)
+        yield disk.read(-5)
 
     with pytest.raises(ValueError):
         run(env, proc())

@@ -30,7 +30,7 @@ def test_transfer_bandwidth():
 
     def proc():
         t0 = env.now
-        yield from net.transfer(a, b, 100 * MB)
+        yield net.transfer(a, b, 100 * MB)
         return env.now - t0
 
     elapsed = env.run(until=env.process(proc()))
@@ -45,7 +45,7 @@ def test_loopback_is_free():
 
     def proc():
         t0 = env.now
-        yield from net.transfer(a, a, 1000 * MB)
+        yield net.transfer(a, a, 1000 * MB)
         return env.now - t0
 
     assert env.run(until=env.process(proc())) == 0.0
@@ -60,11 +60,11 @@ def test_full_duplex_nic():
     finish = {}
 
     def send(env):
-        yield from net.transfer(a, b, 100 * MB)
+        yield net.transfer(a, b, 100 * MB)
         finish["a->b"] = env.now
 
     def recv(env):
-        yield from net.transfer(b, a, 100 * MB)
+        yield net.transfer(b, a, 100 * MB)
         finish["b->a"] = env.now
 
     env.process(send(env))
@@ -83,23 +83,13 @@ def test_server_tx_is_shared_by_clients():
     finish = []
 
     def pull(env, c):
-        yield from net.transfer(server, c, 100 * MB)
+        yield net.transfer(server, c, 100 * MB)
         finish.append(env.now)
 
     for c in clients:
         env.process(pull(env, c))
     env.run()
     assert all(t == pytest.approx(4.0, rel=0.01) for t in finish)
-
-
-def test_transfer_event_wrapper():
-    env = Environment()
-    net = ClusterNetwork(env)
-    a = net.attach("a", 100 * MB)
-    b = net.attach("b", 100 * MB)
-    ev = net.transfer_event(a, b, 50 * MB)
-    env.run(until=ev)
-    assert env.now == pytest.approx(0.5, rel=0.02)
 
 
 # ------------------------------------------------------------ VMInstance

@@ -1,0 +1,103 @@
+"""Per-operation event budget of every storage backend.
+
+Each backend composes its data path from the completion events of the
+disk and network kernels, so one storage operation spawns no process of
+its own.  The only processes allowed are the NFS write-back flusher (a
+daemon) and PVFS's one deferred start per stripe.  The ``env._seq``
+delta of each operation on an idle cluster is pinned: it counts every
+event the operation queues until the cluster is idle again, so a change
+that adds a helper process or a proxy event shows up here first.
+"""
+
+import pytest
+
+from repro.cloud import MB
+from repro.storage import STORAGE_NAMES, FileMetadata, make_storage
+
+#: Process names a storage operation may spawn (prefix match).
+ALLOWED_PROCESSES = ("nfs-flusher", "pvfs-r:", "pvfs-w:")
+
+#: (backend, op) -> events queued from the op's start until idle,
+#: including the two of the driving process itself.
+EVENT_BUDGET = {
+    ("local", "write"): 7,
+    ("local", "read_miss"): 7,
+    ("local", "cache_hit"): 3,
+    ("s3", "write"): 12,
+    ("s3", "read_miss"): 14,
+    ("s3", "cache_hit"): 3,
+    ("nfs", "write"): 19,
+    ("nfs", "read_miss"): 14,
+    ("nfs", "cache_hit"): 3,
+    ("glusterfs-nufa", "write"): 7,
+    ("glusterfs-nufa", "read_miss"): 12,
+    ("glusterfs-nufa", "cache_hit"): 3,
+    ("glusterfs-distribute", "write"): 7,
+    ("glusterfs-distribute", "read_miss"): 12,
+    ("glusterfs-distribute", "cache_hit"): 3,
+    ("pvfs", "write"): 23,
+    ("pvfs", "read_miss"): 23,
+    ("pvfs", "cache_hit"): 23,
+    ("xtreemfs", "write"): 7,
+    ("xtreemfs", "read_miss"): 7,
+    ("xtreemfs", "cache_hit"): 7,
+    ("p2p", "write"): 6,
+    ("p2p", "read_miss"): 18,
+    ("p2p", "cache_hit"): 3,
+}
+OPS = ("write", "read_miss", "cache_hit")
+
+
+def _deploy(name, env, cloud):
+    workers = cloud.launch_many("c1.xlarge", 1 if name == "local" else 2)
+    server = cloud.launch("m1.xlarge", name="nfs-server")
+    fs = make_storage(name, env, cloud=cloud, nfs_server=server)
+    fs.deploy(workers)
+    return fs, workers
+
+
+def _setup(op, fs, workers):
+    """The node and file of ``op``, with the cluster idle afterwards.
+
+    ``read_miss`` reads a pre-staged input from a node that does not
+    hold it where placement allows one (remote); ``cache_hit`` re-reads
+    a file the node itself just wrote (a page-cache hit for every
+    backend that has one).
+    """
+    meta = FileMetadata("f", 10 * MB)
+    if op == "write":
+        fs.declare_output(meta)
+        return workers[0], meta
+    if op == "read_miss":
+        fs.stage_input(meta)
+        holder = getattr(fs, "owner_of", lambda _: workers[0])(meta.name)
+        others = [w for w in workers if w is not holder]
+        return (others or workers)[0], meta
+    fs.declare_output(meta)
+    fs.env.process(fs.write(workers[0], meta))
+    fs.env.run()
+    return workers[0], meta
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("name", STORAGE_NAMES)
+def test_operation_spawns_no_process_and_keeps_its_budget(
+        name, op, env, cloud):
+    fs, workers = _deploy(name, env, cloud)
+    node, meta = _setup(op, fs, workers)
+    io = fs.write if op == "write" else fs.read
+
+    spawned = []
+    spawn = env.process
+
+    def watched(gen, name=None):
+        spawned.append(name)
+        return spawn(gen, name=name)
+
+    seq0 = env._seq
+    spawn(io(node, meta), name="driver")
+    env.process = watched
+    env.run()
+    assert [n for n in spawned
+            if not (n or "").startswith(ALLOWED_PROCESSES)] == []
+    assert env._seq - seq0 == EVENT_BUDGET[name, op]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud import GB, MB, EC2Cloud
-from repro.simcore import Environment
+from repro.simcore import Environment, Interrupt
 from repro.storage import FileMetadata, NFSStorage
 
 from .conftest import run
@@ -142,3 +142,65 @@ def test_flusher_is_single_stream(env, cloud):
         env.process(writer(m))
     env.run()
     assert max_ops[0] <= 1
+
+
+def _interrupted_writer(env, fs, node, meta, at):
+    """Start a write of ``meta`` and interrupt it at sim time ``at``;
+    returns the list the writer appends its outcome to."""
+    outcome = []
+
+    def writer():
+        try:
+            yield from fs.write(node, meta)
+            outcome.append("done")
+        except Interrupt:
+            outcome.append("interrupted")
+
+    proc = env.process(writer())
+
+    def killer():
+        yield env.timeout(at)
+        proc.interrupt("node crash")
+
+    env.process(killer())
+    return outcome
+
+
+def test_write_interrupted_on_dirty_quota_cancels_its_claim(env, cloud):
+    fs, workers, server = make_nfs(env, cloud)
+    quota = fs._dirty_quota
+    hog = FileMetadata("hog", quota.capacity)
+    meta = FileMetadata("f", 10 * MB)
+    fs.declare_output(hog)
+    fs.declare_output(meta)
+    env.process(fs.write(workers[0], hog))
+    outcome = _interrupted_writer(env, fs, workers[1], meta, at=0.01)
+    env.run(until=0.005)
+    assert quota.level == 0.0 and len(quota._getters) == 1  # blocked
+    env.run()
+    assert outcome == ["interrupted"]
+    assert quota._getters == []
+    assert quota.level == quota.capacity
+    assert fs.flushes_completed == 1  # only the hog was written
+    assert "f" not in fs._cache
+
+
+def test_write_interrupted_in_flight_returns_quota_and_drains(env, cloud):
+    fs, workers, server = make_nfs(env, cloud)
+    quota = fs._dirty_quota
+    meta = FileMetadata("f", 100 * MB)
+    fs.declare_output(meta)
+    outcome = _interrupted_writer(env, fs, workers[0], meta, at=0.1)
+    env.run(until=0.2)
+    # The claim is back at once; the orphaned rpc and wire stages are
+    # still running (100 MB needs ~0.8 s on the wire).
+    assert outcome == ["interrupted"]
+    assert quota.level == quota.capacity
+    assert fs._rpc.active_ops == 1
+    assert server.nic.rx.active_flows == 1
+    env.run()  # the orphans finish without raising
+    assert fs._rpc.active_ops == 0
+    assert server.nic.rx.active_flows == 0
+    assert quota.level == quota.capacity
+    assert fs.flushes_completed == 0
+    assert "f" not in fs._cache
