@@ -20,6 +20,7 @@ Contention is egalitarian processor sharing over the device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
@@ -149,10 +150,11 @@ class BlockDevice:
 
     def read(self, nbytes: float) -> "Event":
         """Read ``nbytes`` (PS-shared at the device's read bandwidth)."""
+        done = self._op(nbytes, self.profile.read_bw)
         self.reads += 1
         self.bytes_read += nbytes
         self.trace.emit(self.env.now, "disk", "read", disk=self.name, nbytes=nbytes)
-        return self._op(nbytes, self.profile.read_bw)
+        return done
 
     def write(self, key: object, nbytes: float) -> "Event":
         """Write ``nbytes`` to extent ``key``.
@@ -161,21 +163,23 @@ class BlockDevice:
         subsequent writes to the same key run at re-write speed.
         """
         first = key not in self._touched
+        done = self._op(nbytes, self.profile.first_write_bw if first
+                        else self.profile.rewrite_bw)
         self._touched.add(key)
         self.writes += 1
         self.bytes_written += nbytes
-        bw = self.profile.first_write_bw if first else self.profile.rewrite_bw
         self.trace.emit(self.env.now, "disk", "write", disk=self.name,
                         nbytes=nbytes, first=first)
-        return self._op(nbytes, bw)
+        return done
 
     def zero_fill(self, nbytes: float) -> "Event":
         """Pre-initialise ``nbytes`` of storage (Amazon's suggested
         mitigation).  Runs at first-write speed and marks the special
         whole-device extent as touched for bookkeeping."""
+        done = self._op(nbytes, self.init_bw)
         self.trace.emit(self.env.now, "disk", "zero_fill", disk=self.name,
                         nbytes=nbytes)
-        return self._op(nbytes, self.init_bw)
+        return done
 
     def forget(self, key: object) -> None:
         """Drop extent state for ``key`` (file deleted)."""
@@ -200,9 +204,11 @@ class BlockDevice:
 
     def _op(self, nbytes: float, bw: float) -> "Event":
         """The completion event of ``nbytes`` at ``bw``; the channel
-        phase starts after the profile's ``op_latency``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        phase starts after the profile's ``op_latency``.  Every public
+        operation calls this before touching a counter or the trace, so
+        a bad size fails at call time and leaves no trace."""
+        if nbytes < 0 or not math.isfinite(nbytes):
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         if nbytes == 0:
             return self.env.timeout(self.profile.op_latency)
         return self.env.start_after(self.profile.op_latency,

@@ -13,6 +13,7 @@ traverse (see :mod:`repro.simcore.flownet`).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..simcore.flownet import FlowNetwork, Link
@@ -89,6 +90,8 @@ class ClusterNetwork:
         ``max_rate`` models a per-stream ceiling (single TCP connection
         to S3, for instance).
         """
+        if nbytes < 0 or not math.isfinite(nbytes):
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         if src is dst:
             # Loopback: no network involved.
             return self.env.timeout(0)

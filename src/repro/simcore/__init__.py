@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`Environment` — clock + event loop;
-* :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf`,
-  :class:`AnyOf` — waitables;
+* :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf` —
+  waitables;
 * :class:`Resource`, :class:`Container`, :class:`Store` — contended
   entities;
 * :class:`FairShareChannel` — processor-sharing device model (disks);
@@ -22,7 +22,7 @@ from .errors import (
     SimulationDeadlock,
     SimulationError,
 )
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, Event, Process, Timeout
 from .flownet import FlowNetwork, Link
 from .pipes import FairShareChannel
 from .rand import jittered, substream
@@ -31,7 +31,6 @@ from .tracing import NULL_COLLECTOR, TraceCollector, TraceRecord
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Environment",
     "Event",

@@ -8,7 +8,7 @@ from typing import (Any, Callable, Dict, Generator, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from .errors import SimulationDeadlock
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import AllOf, Event, Process, Timeout
 
 #: Default priority for newly queued events.  Lower sorts earlier at the
 #: same timestamp; interrupts use priority 0 so they pre-empt same-time
@@ -71,29 +71,22 @@ class Environment:
 
     def start_after(self, delay: float, start: Callable[..., Event],
                     *args: Any) -> Event:
-        """Call ``start(*args)`` ``delay`` from now; return an event that
-        fires when the event ``start`` returned fires.
+        """Call ``start(*args, done=done)`` ``delay`` from now; return
+        ``done``, the event the started operation completes.
 
         This is how the disk and network kernels put a fixed latency in
         front of an operation without a process: the start runs as a
-        timeout callback and the caller can yield the returned event,
-        or combine it with others, at once.
+        timeout callback, the kernel succeeds the caller's event, and
+        the caller can yield it, or combine it with others, at once.
         """
         done = Event(self)
-
-        def _start(_: Event) -> None:
-            start(*args).callbacks.append(done.trigger)
-
-        Timeout(self, delay).callbacks.append(_start)
+        Timeout(self, delay).callbacks.append(
+            lambda _: start(*args, done=done))
         return done
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event firing once all of ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing once any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling (internal API used by events) ---------------------------
 

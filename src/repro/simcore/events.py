@@ -111,24 +111,10 @@ class Event:
         self.env._queue_event(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another (triggered) event onto this one.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     # -- composition ------------------------------------------------------
 
     def __and__(self, other: "Event") -> "AllOf":
         return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = (
@@ -275,17 +261,22 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'dead'}>"
 
 
-class Condition(Event):
-    """Base for composite events over a set of sub-events."""
+class AllOf(Event):
+    """Fires when *all* sub-events have fired (fails fast on failure).
+
+    Its value maps each sub-event to that event's value.
+    """
 
     __slots__ = ("events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self.events: List[Event] = list(events)
+        # Sub-events still to succeed.  A failed sub-event never counts
+        # down, so reaching zero means every one of them succeeded.
         self._remaining = len(self.events)
         # One fused pass: validate, then register or evaluate.  The
-        # S3 client builds an AllOf per remote read/write, so condition
+        # S3 client builds an AllOf per remote read/write, so
         # construction is on the storage hot path.
         check = self._check
         for ev in self.events:
@@ -296,56 +287,16 @@ class Condition(Event):
                 check(ev)
             else:
                 ev.callbacks.append(check)
-        if not self.events and not self.triggered:
+        if not self.events:
             # Vacuously satisfied.
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict:
-        """Values of all triggered-and-ok sub-events, keyed by event."""
-        return {ev: ev._value for ev in self.events
-                if ev.triggered and ev._ok}
+            self.succeed({})
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _sub_ok(self, event: Event) -> bool:
         if not event._ok:
-            if not self.triggered:
-                event._defused = True
+            event._defused = True
+            if self._value is _PENDING:
                 self.fail(event._value)
-            else:
-                event._defused = True
-            return False
-        return True
-
-
-class AllOf(Condition):
-    """Fires when *all* sub-events have fired (fails fast on failure)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if not self._sub_ok(event):
             return
         self._remaining -= 1
-        if self._remaining <= 0 and not self.triggered:
-            if all(ev.triggered for ev in self.events):
-                self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Fires when *any* sub-event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        super().__init__(env, events)
-
-    def _check(self, event: Event) -> None:
-        if not self._sub_ok(event):
-            return
-        if not self.triggered:
-            self.succeed(self._collect())
+        if self._remaining == 0:
+            self.succeed({ev: ev._value for ev in self.events})

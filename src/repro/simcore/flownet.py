@@ -211,7 +211,8 @@ class FlowNetwork:
         return len(self._flows)
 
     def transfer(self, links: Sequence[Link], nbytes: float,
-                 max_rate: Optional[float] = None) -> Event:
+                 max_rate: Optional[float] = None,
+                 done: Optional[Event] = None) -> Event:
         """Start a flow of ``nbytes`` over ``links``.
 
         Parameters
@@ -223,15 +224,19 @@ class FlowNetwork:
         max_rate:
             Optional per-flow rate ceiling (bytes/s) — models per-stream
             limits such as a single S3 connection's throughput.
+        done:
+            The event to succeed on delivery of the last byte; a new
+            one when None.
 
-        Returns an event that fires on delivery of the last byte.
+        Returns ``done``.
         """
         if nbytes < 0 or not math.isfinite(nbytes):
             raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         if max_rate is not None and not max_rate > 0:
             raise ValueError(f"max_rate must be > 0, got {max_rate}")
         self.total_flows += 1
-        done = Event(self.env)
+        if done is None:
+            done = Event(self.env)
         if nbytes == 0:
             done.succeed()
             return done

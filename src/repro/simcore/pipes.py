@@ -15,7 +15,7 @@ would run at ``b`` MB/s alone on a device is submitted with
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .events import Event, Timeout
 
@@ -114,16 +114,17 @@ class FairShareChannel:
         """Number of operations currently in service."""
         return len(self._jobs)
 
-    def submit(self, work: float) -> Event:
+    def submit(self, work: float, done: Optional[Event] = None) -> Event:
         """Submit an operation needing ``work`` dedicated seconds.
 
-        Returns an event that fires when the operation completes under
-        processor sharing.
+        Returns ``done`` (a new event when None), which succeeds when
+        the operation completes under processor sharing.
         """
         if work < 0 or not math.isfinite(work):
             raise ValueError(f"work must be finite and >= 0, got {work}")
         self.total_ops += 1
-        done = Event(self.env)
+        if done is None:
+            done = Event(self.env)
         if work == 0:
             done.succeed()
             return done

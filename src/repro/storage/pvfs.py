@@ -27,6 +27,7 @@ from .files import FileMetadata
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cloud.node import VMInstance
+    from ..simcore.events import Event
 
 
 class PVFSStorage(StorageSystem):
@@ -89,8 +90,7 @@ class PVFSStorage(StorageSystem):
         # Stripe transfers run in parallel, but the client stream can
         # drain them no faster than its protocol ceiling.
         yield self.env.all_of([
-            self.env.process(self._stripe_read(server, node, part),
-                             name=f"pvfs-r:{meta.name}")
+            self._stripe_read(server, node, part)
             for server, part in zip(self.workers, self._stripe_sizes(meta.size))
             if part > 0
         ] + [self.env.timeout(meta.size / self.PER_STREAM_BW)])
@@ -102,8 +102,7 @@ class PVFSStorage(StorageSystem):
         # serialized through the metadata coordination path.
         yield self._meta.submit(self._create_cost())
         yield self.env.all_of([
-            self.env.process(self._stripe_write(server, node, meta, part),
-                             name=f"pvfs-w:{meta.name}")
+            self._stripe_write(server, node, meta, part)
             for server, part in zip(self.workers, self._stripe_sizes(meta.size))
             if part > 0
         ] + [self.env.timeout(meta.size / self.PER_STREAM_BW)])
@@ -111,18 +110,19 @@ class PVFSStorage(StorageSystem):
     # -- helpers -------------------------------------------------------------------
 
     def _stripe_read(self, server: "VMInstance", client: "VMInstance",
-                     nbytes: float) -> Generator:
-        if server is not client:
-            # Server disk and wire pipeline; both must finish.
-            yield (server.disk.read(nbytes)
-                   & server.network.transfer(server.nic, client.nic, nbytes))
-        else:
-            yield server.disk.read(nbytes)
+                     nbytes: float) -> "Event":
+        """One stripe: server disk and the wire back, pipelined; both
+        must finish.  The disk operation is issued first."""
+        if server is client:
+            return server.disk.read(nbytes)
+        return (server.disk.read(nbytes)
+                & server.network.transfer(server.nic, client.nic, nbytes))
 
     def _stripe_write(self, server: "VMInstance", client: "VMInstance",
-                      meta: FileMetadata, nbytes: float) -> Generator:
-        if server is not client:
-            yield (client.network.transfer(client.nic, server.nic, nbytes)
-                   & server.disk.write((self.name, meta.name), nbytes))
-        else:
-            yield server.disk.write((self.name, meta.name), nbytes)
+                      meta: FileMetadata, nbytes: float) -> "Event":
+        """One stripe: the wire out and the server disk, pipelined; both
+        must finish.  The wire transfer is issued first."""
+        if server is client:
+            return server.disk.write((self.name, meta.name), nbytes)
+        return (client.network.transfer(client.nic, server.nic, nbytes)
+                & server.disk.write((self.name, meta.name), nbytes))

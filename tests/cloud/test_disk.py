@@ -11,7 +11,7 @@ from repro.cloud import (
     make_node_disk,
     raid0,
 )
-from repro.simcore import Environment
+from repro.simcore import Environment, TraceCollector
 
 
 def run(env, gen):
@@ -181,3 +181,22 @@ def test_negative_io_rejected():
 
     with pytest.raises(ValueError):
         run(env, proc())
+
+
+@pytest.mark.parametrize("nbytes", [-5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("op", ["read", "write", "zero_fill"])
+def test_bad_size_rejected_at_call_time(op, nbytes):
+    env = Environment()
+    trace = TraceCollector()
+    disk = BlockDevice(env, EPHEMERAL_DISK, trace=trace)
+    call = {"read": lambda: disk.read(nbytes),
+            "write": lambda: disk.write("f", nbytes),
+            "zero_fill": lambda: disk.zero_fill(nbytes)}[op]
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        call()
+    # Nothing was counted, traced, touched or queued.
+    assert (disk.reads, disk.writes) == (0, 0)
+    assert (disk.bytes_read, disk.bytes_written) == (0.0, 0.0)
+    assert not disk.is_touched("f")
+    assert trace.records == []
+    assert env.peek() == float("inf")

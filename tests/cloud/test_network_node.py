@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud import MB, GB, ClusterNetwork, VMInstance, get_instance_type
-from repro.simcore import Environment
+from repro.simcore import Environment, TraceCollector
 
 
 def test_attach_and_lookup():
@@ -36,6 +36,22 @@ def test_transfer_bandwidth():
     elapsed = env.run(until=env.process(proc()))
     assert elapsed == pytest.approx(1.0, rel=0.01)
     assert net.bytes_transferred == 100 * MB
+
+
+@pytest.mark.parametrize("nbytes", [-5.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("loopback", [False, True])
+def test_bad_transfer_size_rejected_at_call_time(nbytes, loopback):
+    env = Environment()
+    trace = TraceCollector()
+    net = ClusterNetwork(env, trace=trace)
+    a = net.attach("a", 100 * MB)
+    b = a if loopback else net.attach("b", 100 * MB)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        net.transfer(a, b, nbytes)
+    # Nothing was counted, traced or queued.
+    assert net.bytes_transferred == 0.0
+    assert trace.records == []
+    assert env.peek() == float("inf")
 
 
 def test_loopback_is_free():

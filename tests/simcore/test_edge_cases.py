@@ -5,7 +5,6 @@ import pytest
 
 from repro.simcore import (
     AllOf,
-    AnyOf,
     Environment,
     FairShareChannel,
     FlowNetwork,
@@ -34,25 +33,6 @@ def test_allof_fails_fast_on_subevent_failure():
     env.process(waiter(env))
     env.run()
     assert caught == [(1.0, "sub died")]
-
-
-def test_anyof_failure_propagates():
-    env = Environment()
-    caught = []
-
-    def failer(env):
-        yield env.timeout(1.0)
-        raise RuntimeError("boom")
-
-    def waiter(env):
-        try:
-            yield env.any_of([env.process(failer(env)), env.timeout(50.0)])
-        except RuntimeError:
-            caught.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert caught == [1.0]
 
 
 def test_condition_with_already_processed_events():

@@ -285,35 +285,17 @@ def test_all_of_waits_for_every_event():
     assert times == [5.0]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        results = yield env.any_of([t1, t2])
-        times.append(env.now)
-        assert "fast" in results.values()
-
-    env.process(proc(env))
-    env.run()
-    assert times == [1.0]
-
-
-def test_and_or_operators():
+def test_and_operator():
     env = Environment()
     log = []
 
     def proc(env):
         yield env.timeout(1.0) & env.timeout(2.0)
         log.append(env.now)
-        yield env.timeout(1.0) | env.timeout(10.0)
-        log.append(env.now)
 
     env.process(proc(env))
     env.run(until=20)
-    assert log == [2.0, 3.0]
+    assert log == [2.0]
 
 
 def test_empty_all_of_fires_immediately():
@@ -327,12 +309,6 @@ def test_empty_all_of_fires_immediately():
     env.process(proc(env))
     env.run()
     assert log == [0.0]
-
-
-def test_any_of_empty_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.any_of([])
 
 
 def test_event_double_trigger_rejected():

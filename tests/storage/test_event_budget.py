@@ -1,12 +1,13 @@
 """Per-operation event budget of every storage backend.
 
 Each backend composes its data path from the completion events of the
-disk and network kernels, so one storage operation spawns no process of
-its own.  The only processes allowed are the NFS write-back flusher (a
-daemon) and PVFS's one deferred start per stripe.  The ``env._seq``
-delta of each operation on an idle cluster is pinned: it counts every
-event the operation queues until the cluster is idle again, so a change
-that adds a helper process or a proxy event shows up here first.
+disk and network kernels, and each kernel succeeds the event its caller
+handed it, so one storage operation spawns no process of its own and
+no proxy event.  The only process allowed is the NFS write-back flusher
+(a daemon).  The ``env._seq`` delta of each operation on an idle
+cluster is pinned: it counts every event the operation queues until the
+cluster is idle again, so a change that adds a helper process or a
+proxy event shows up here first.
 """
 
 import pytest
@@ -15,34 +16,34 @@ from repro.cloud import MB
 from repro.storage import STORAGE_NAMES, FileMetadata, make_storage
 
 #: Process names a storage operation may spawn (prefix match).
-ALLOWED_PROCESSES = ("nfs-flusher", "pvfs-r:", "pvfs-w:")
+ALLOWED_PROCESSES = ("nfs-flusher",)
 
 #: (backend, op) -> events queued from the op's start until idle,
 #: including the two of the driving process itself.
 EVENT_BUDGET = {
-    ("local", "write"): 7,
-    ("local", "read_miss"): 7,
+    ("local", "write"): 6,
+    ("local", "read_miss"): 6,
     ("local", "cache_hit"): 3,
-    ("s3", "write"): 12,
-    ("s3", "read_miss"): 14,
+    ("s3", "write"): 10,
+    ("s3", "read_miss"): 12,
     ("s3", "cache_hit"): 3,
-    ("nfs", "write"): 19,
-    ("nfs", "read_miss"): 14,
+    ("nfs", "write"): 17,
+    ("nfs", "read_miss"): 12,
     ("nfs", "cache_hit"): 3,
-    ("glusterfs-nufa", "write"): 7,
-    ("glusterfs-nufa", "read_miss"): 12,
+    ("glusterfs-nufa", "write"): 6,
+    ("glusterfs-nufa", "read_miss"): 10,
     ("glusterfs-nufa", "cache_hit"): 3,
-    ("glusterfs-distribute", "write"): 7,
-    ("glusterfs-distribute", "read_miss"): 12,
+    ("glusterfs-distribute", "write"): 6,
+    ("glusterfs-distribute", "read_miss"): 10,
     ("glusterfs-distribute", "cache_hit"): 3,
-    ("pvfs", "write"): 23,
-    ("pvfs", "read_miss"): 23,
-    ("pvfs", "cache_hit"): 23,
-    ("xtreemfs", "write"): 7,
-    ("xtreemfs", "read_miss"): 7,
-    ("xtreemfs", "cache_hit"): 7,
-    ("p2p", "write"): 6,
-    ("p2p", "read_miss"): 18,
+    ("pvfs", "write"): 16,
+    ("pvfs", "read_miss"): 16,
+    ("pvfs", "cache_hit"): 16,
+    ("xtreemfs", "write"): 6,
+    ("xtreemfs", "read_miss"): 6,
+    ("xtreemfs", "cache_hit"): 6,
+    ("p2p", "write"): 5,
+    ("p2p", "read_miss"): 15,
     ("p2p", "cache_hit"): 3,
 }
 OPS = ("write", "read_miss", "cache_hit")
