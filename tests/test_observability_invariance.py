@@ -25,8 +25,10 @@ from repro.experiments import (
     ObserveOptions,
     run_sweep,
 )
+from repro.faults import FaultSpec, NodeCrash, OutageWindow, RetryPolicy
 from repro.lint.determinism import canonical_event
 from repro.observe import EventLogWriter, SweepMonitor
+from repro.storage import STORAGE_NAMES
 from repro.telemetry import to_prometheus, validate_exposition
 
 # The 20 golden scenarios: every application crossed with a spread of
@@ -131,6 +133,30 @@ GOLDEN_RECORD_SETS = {
 }
 SCENARIOS = list(GOLDEN_CHAINS)
 
+# One fault-mode scenario per backend: an outage window, transient
+# storage errors under a retry policy, and (on 2-node cells) a node
+# crash whose evicted jobs abort their half-done writes.  These chains
+# cover the retry, outage and eviction paths the 20 fault-free
+# scenarios never take.
+GOLDEN_FAULT_CHAINS = {
+    "local":
+        "64b9e09c738f8a1137982c1a1dab33da225865e7ef6cbefebb08e5a1a5b8cbd3",
+    "s3":
+        "210e18ec493199f607e5d8fd7a4d117e1eff817ebca051b058228acfcc76ba82",
+    "nfs":
+        "a1005fff422cfaa1439df6534c033f9c937fbd1ec783ba3fb74a337fa68d58d5",
+    "glusterfs-nufa":
+        "223e01090007d9cd29c3f615c65d1ad2ceef03fd3b24b0088c50a89a763dc95c",
+    "glusterfs-distribute":
+        "9ad0384a76e085aef3f501e4aee8096710de703000ec8d084e1623d726497e85",
+    "pvfs":
+        "37dcc08e6f1da042d9428f706d0db2b88a15699bf4d975b5b7c8e81183cd0ff1",
+    "xtreemfs":
+        "71e1a875713d174fc2b0ff24520f7743e4bf0ea36b9b05e23828007f86f2869b",
+    "p2p":
+        "5b6d5b5bc9dc25ad207fe6790a101912e0a799fb9c1d2dda07a5e2903b378a03",
+}
+
 
 def small_workflow(app):
     if app == "montage":
@@ -233,3 +259,24 @@ def test_digest_invariant_across_worker_processes(tmp_path):
                          observe=observe)
     for b, o in zip(bare, observed):
         assert _hash_chain(o) == _hash_chain(b)
+
+
+def _fault_config(storage):
+    nodes = 1 if storage == "local" else 2
+    crashes = (NodeCrash("worker-1", 40.0),) if nodes > 1 else ()
+    spec = FaultSpec(node_crashes=crashes,
+                     storage_outages=(OutageWindow(20.0, 60.0),),
+                     storage_error_rate=0.03,
+                     retry=RetryPolicy(max_retries=8, op_timeout=5.0))
+    return ExperimentConfig("synthetic", storage, nodes, seed=3,
+                            cpu_jitter_sigma=0.05, collect_traces=True,
+                            retries=10, fault_spec=spec)
+
+
+@pytest.mark.parametrize("storage", STORAGE_NAMES)
+def test_fault_mode_chain_is_pinned(storage):
+    result = _run_bare(_fault_config(storage), small_workflow("synthetic"))
+    # Local disk has no shared service, so no storage fault can fire.
+    assert (result.faults.as_dict()["storage_errors"] > 0) \
+        == (storage != "local")
+    assert _hash_chain(result) == GOLDEN_FAULT_CHAINS[storage]
