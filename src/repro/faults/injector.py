@@ -40,8 +40,8 @@ class StorageFaultState:
     """Per-run storage fault decisions and counters.
 
     Installed on a :class:`~repro.storage.base.StorageSystem` via
-    ``attach_faults``; the retry wrapper in ``span_read``/``span_write``
-    consults it before every operation that touches the shared service.
+    ``attach_faults``; the retry loop in ``StorageSystem.io`` consults
+    it before every operation that touches the shared service.
     """
 
     def __init__(self, env: "Environment", spec: FaultSpec,

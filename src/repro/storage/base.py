@@ -1,15 +1,20 @@
 """The common storage-system interface.
 
 Each of the paper's data-sharing options implements this interface.
-The executor interacts with storage in exactly two ways:
+The executor moves data in exactly one way, :meth:`StorageSystem.io`:
+``io("read", ...)`` makes a file's bytes flow to a program running on
+a node, and ``io("write", ...)`` persists a program's freshly produced
+file from a node.  ``io`` is the same for every system: it keeps the
+write-once namespace bracket, runs the fault retry loop when faults
+are attached, and opens the operation's ``storage_op`` span.  Inside
+it, two backend hooks do the system-specific part:
 
-* :meth:`StorageSystem.read` — make a file's bytes flow to a program
-  running on a node (through whatever path the system implies:
-  local disk, central server, peer node, stripes, or object store);
-* :meth:`StorageSystem.write` — persist a program's freshly produced
-  file from a node.
+* :meth:`StorageSystem.read` — deliver the bytes through whatever path
+  the system implies: local disk, central server, peer node, stripes,
+  or object store;
+* :meth:`StorageSystem.write` — persist the bytes the same way.
 
-Both are generators run inside the executing task's process.  A
+Both hooks are generators run inside the executing task's process.  A
 backend composes each from the completion events that the disk, network
 and server-queue kernels return: it yields one event, or ``all_of`` /
 ``&`` of pipelined stages, and spawns no process of its own.  All
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..faults.spec import StorageUnavailableError
+from ..simcore.events import Event
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
 from .files import FileMetadata, Namespace
 
@@ -92,6 +98,9 @@ class StorageSystem(abc.ABC):
         #: fault-free default; the hot path then bypasses the retry
         #: wrapper entirely, preserving bit-identical behaviour).
         self._faults: Optional["StorageFaultState"] = None
+        #: Downloads in flight, so concurrent readers on one node share
+        #: one (see :meth:`_once`): (node, file) -> completion event.
+        self._inflight: Dict[Tuple[str, str], Event] = {}
 
     # -- deployment --------------------------------------------------------
 
@@ -156,44 +165,103 @@ class StorageSystem(abc.ABC):
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
         """Persist ``meta`` produced by a program on ``node`` (generator)."""
 
-    # -- telemetry hooks ----------------------------------------------------
+    # -- the entry point ------------------------------------------------------
 
-    def span_read(self, node: "VMInstance", meta: FileMetadata,
-                  spans: "SpanBuilder") -> Generator:
-        """:meth:`read` bracketed by a ``storage_op`` span.
+    def io(self, op: str, node: "VMInstance", meta: FileMetadata,
+           spans: "SpanBuilder") -> Generator:
+        """Move ``meta`` for a program on ``node``; ``op`` is ``"read"``
+        or ``"write"``.  The executor's only way to touch storage.
 
-        The executor uses this form so every storage operation appears
-        in the span tree nested under the running job's read phase.
-        With fault state attached, the operation runs under the retry
-        policy (see :meth:`_faulty_op`).
+        In order: the write-once namespace bracket (``begin_read`` /
+        ``end_read``, or ``begin_write`` then ``end_write``, or
+        ``abort_write`` when the write dies, so a retry may produce the
+        file afresh); the failed attempts the fault state decides on,
+        when one is attached (:meth:`_fail_attempts`); one
+        ``storage_op`` span, nested under the job's phase span and
+        carrying ``attempt`` only in fault mode; and inside it the
+        backend's :meth:`read` or :meth:`write` hook.
         """
-        if self._faults is not None:
-            yield from self._faulty_op("read", node, meta, spans)
-            return
-        # Explicit begin/end (not the ``span`` context manager): this
-        # brackets every storage operation, and the contextmanager
-        # protocol costs more than the span itself at this call rate.
-        sid = spans.begin("storage_op", f"read {meta.name}",
-                          op="read", storage=self.name, node=node.name,
-                          file=meta.name, nbytes=meta.size)
+        name = meta.name
+        ns = self.namespace
+        reading = op == "read"
+        if reading:
+            ns.begin_read(name)
+        else:
+            ns.begin_write(name)
         try:
-            yield from self.read(node, meta)
+            faults = self._faults
+            # Explicit begin/end (not a context manager): this brackets
+            # every storage operation, and the contextmanager protocol
+            # costs more than the span itself at this call rate.
+            if faults is None:
+                sid = spans.begin("storage_op", f"{op} {name}", op=op,
+                                  storage=self.name, node=node.name,
+                                  file=name, nbytes=meta.size)
+            else:
+                attempt = yield from self._fail_attempts(op, node, meta,
+                                                         spans)
+                sid = spans.begin("storage_op", f"{op} {name}", op=op,
+                                  storage=self.name, node=node.name,
+                                  file=name, nbytes=meta.size,
+                                  attempt=attempt)
+            try:
+                if reading:
+                    yield from self.read(node, meta)
+                else:
+                    yield from self.write(node, meta)
+            finally:
+                spans.end(sid)
+            if faults is not None and attempt > 0:
+                faults.note_recovered(op, attempt)
+        except BaseException:
+            if not reading:
+                ns.abort_write(name)
+            raise
         finally:
-            spans.end(sid)
+            if reading:
+                ns.end_read(name)
+        if not reading:
+            ns.end_write(name)
 
-    def span_write(self, node: "VMInstance", meta: FileMetadata,
-                   spans: "SpanBuilder") -> Generator:
-        """:meth:`write` bracketed by a ``storage_op`` span."""
-        if self._faults is not None:
-            yield from self._faulty_op("write", node, meta, spans)
-            return
-        sid = spans.begin("storage_op", f"write {meta.name}",
-                          op="write", storage=self.name, node=node.name,
-                          file=meta.name, nbytes=meta.size)
-        try:
-            yield from self.write(node, meta)
-        finally:
-            spans.end(sid)
+    def _fail_attempts(self, op: str, node: "VMInstance", meta: FileMetadata,
+                       spans: "SpanBuilder") -> Generator:
+        """Play out the failed attempts before the one that proceeds;
+        returns that attempt's number.
+
+        Failures manifest *before* the backend runs (the model is an
+        unreachable/erroring server, detected at RPC time), so a failed
+        attempt never mutates backend state.  Each failed attempt costs
+        its detection latency (RPC timeout for outages); exhausting
+        ``max_retries`` raises :class:`StorageUnavailableError`.
+        """
+        faults = self._faults
+        policy = faults.retry
+        attempt = 0
+        while True:
+            failure = faults.roll_failure(
+                op, self._op_needs_service(op, node, meta))
+            if failure is None:
+                return attempt
+            kind, latency = failure
+            sid = spans.begin("storage_fault", f"{op} {meta.name}",
+                              op=op, storage=self.name, node=node.name,
+                              file=meta.name, fault=kind, attempt=attempt)
+            try:
+                if latency > 0:
+                    yield self.env.timeout(latency)
+            finally:
+                spans.end(sid)
+            faults.note_error(op, kind, meta.name)
+            if attempt >= policy.max_retries:
+                faults.note_giveup(op, meta.name, attempt + 1)
+                raise StorageUnavailableError(
+                    f"{op} {meta.name} on {self.name} from {node.name}: "
+                    f"{attempt + 1} attempts failed (last: {kind})")
+            delay = policy.backoff(attempt, faults.backoff_rng)
+            faults.note_retry(op, delay)
+            if delay > 0:
+                yield self.env.timeout(delay)
+            attempt += 1
 
     # -- fault injection ----------------------------------------------------
 
@@ -211,52 +279,6 @@ class StorageSystem(abc.ABC):
         server).  The default is conservative: everything is remote.
         """
         return True
-
-    def _faulty_op(self, op: str, node: "VMInstance", meta: FileMetadata,
-                   spans: "SpanBuilder") -> Generator:
-        """One storage operation under the retry policy.
-
-        Failures manifest *before* the backend runs (the model is an
-        unreachable/erroring server, detected at RPC time), so a failed
-        attempt never mutates backend state.  Each failed attempt costs
-        its detection latency (RPC timeout for outages); exhausting
-        ``max_retries`` raises :class:`StorageUnavailableError`.
-        """
-        faults = self._faults
-        policy = faults.retry
-        attempt = 0
-        while True:
-            failure = faults.roll_failure(
-                op, self._op_needs_service(op, node, meta))
-            if failure is None:
-                with spans.span("storage_op", f"{op} {meta.name}",
-                                op=op, storage=self.name, node=node.name,
-                                file=meta.name, nbytes=meta.size,
-                                attempt=attempt):
-                    if op == "read":
-                        yield from self.read(node, meta)
-                    else:
-                        yield from self.write(node, meta)
-                if attempt > 0:
-                    faults.note_recovered(op, attempt)
-                return
-            kind, latency = failure
-            with spans.span("storage_fault", f"{op} {meta.name}",
-                            op=op, storage=self.name, node=node.name,
-                            file=meta.name, fault=kind, attempt=attempt):
-                if latency > 0:
-                    yield self.env.timeout(latency)
-            faults.note_error(op, kind, meta.name)
-            if attempt >= policy.max_retries:
-                faults.note_giveup(op, meta.name, attempt + 1)
-                raise StorageUnavailableError(
-                    f"{op} {meta.name} on {self.name} from {node.name}: "
-                    f"{attempt + 1} attempts failed (last: {kind})")
-            delay = policy.backoff(attempt, faults.backoff_rng)
-            faults.note_retry(op, delay)
-            if delay > 0:
-                yield self.env.timeout(delay)
-            attempt += 1
 
     def telemetry_probes(self, clock: Callable[[], float]
                          ) -> List[Tuple[str, Callable[[], float]]]:
@@ -287,6 +309,26 @@ class StorageSystem(abc.ABC):
         if self._page_caches is None:
             return None
         return self._page_caches[node.name]
+
+    # -- per-node download dedup --------------------------------------------------
+
+    def _once(self, node: "VMInstance", meta: FileMetadata,
+              fetch: Callable[["VMInstance", FileMetadata], Generator]
+              ) -> Generator:
+        """Run ``fetch(node, meta)`` unless the same download to ``node``
+        is already in flight; then wait for that one instead."""
+        key = (node.name, meta.name)
+        pending = self._inflight.get(key)
+        if pending is not None:
+            yield pending
+            return
+        done = Event(self.env)
+        self._inflight[key] = done
+        try:
+            yield from fetch(node, meta)
+        finally:
+            del self._inflight[key]
+            done.succeed()
 
     # -- common accounting ------------------------------------------------------
 

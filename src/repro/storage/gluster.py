@@ -93,7 +93,6 @@ class GlusterFSStorage(StorageSystem):
         return self._hash_owner(meta.name) is not node
 
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         if self._page_cache_hit(node, meta):
             self._count_read(meta, remote=False)
             self.stats.cache_hits += 1
@@ -124,7 +123,6 @@ class GlusterFSStorage(StorageSystem):
         self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         if self.layout == "nufa":
             owner = node  # writes to new files always go local
         else:

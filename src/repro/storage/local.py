@@ -34,7 +34,6 @@ class LocalDiskStorage(StorageSystem):
         return False
 
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_read(meta, remote=False)
         if self._page_cache_hit(node, meta):
             self.stats.cache_hits += 1
@@ -46,7 +45,6 @@ class LocalDiskStorage(StorageSystem):
         self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_write(meta, remote=False)
         yield self.env.timeout(self.OP_LATENCY)
         yield node.disk.write(("local", meta.name), meta.size)

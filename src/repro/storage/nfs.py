@@ -217,7 +217,6 @@ class NFSStorage(StorageSystem):
         return True
 
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         if self._page_cache_hit(node, meta):
             # Client page cache: close-to-open revalidation succeeds
             # (write-once data), no server involvement.
@@ -246,7 +245,6 @@ class NFSStorage(StorageSystem):
         self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         yield self.env.timeout(self.WRITE_LATENCY)
         self._count_write(meta, remote=True)
         # Write-back throttling: claim dirty quota before transferring.

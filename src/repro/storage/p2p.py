@@ -22,9 +22,8 @@ paper's best systems.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, Set
 
-from ..simcore.events import Event
 from .base import StorageSystem
 from .files import FileMetadata
 from .pagecache import HIT_LATENCY as PC_HIT_LATENCY
@@ -47,7 +46,6 @@ class DirectTransferStorage(StorageSystem):
         super().__init__(env, trace=trace)
         #: file name -> node names holding a replica.
         self._replicas: Dict[str, Set[str]] = {}
-        self._inflight: Dict[Tuple[str, str], Event] = {}
         self._stage_counter = 0
 
     def _on_deploy(self) -> None:
@@ -74,7 +72,6 @@ class DirectTransferStorage(StorageSystem):
     # -- data path ----------------------------------------------------------------
 
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         local = node.name in self._replicas.get(meta.name, ())
         self._count_read(meta, remote=not local)
         if local:
@@ -86,7 +83,7 @@ class DirectTransferStorage(StorageSystem):
             self._page_cache_insert(node, meta)
             return
         self.stats.cache_misses += 1
-        yield from self._pull(node, meta)
+        yield from self._once(node, meta, self._pull)
         # The landed replica is hot; the program reads it from RAM.
         if self._page_cache_hit(node, meta):
             yield self.env.timeout(PC_HIT_LATENCY)
@@ -95,7 +92,6 @@ class DirectTransferStorage(StorageSystem):
             self._page_cache_insert(node, meta)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_write(meta, remote=False)
         yield node.disk.write((self.name, meta.name), meta.size)
         self._page_cache_insert(node, meta)
@@ -104,35 +100,24 @@ class DirectTransferStorage(StorageSystem):
     # -- helpers -------------------------------------------------------------------
 
     def _pull(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        """Fetch a replica from a peer, deduplicating concurrent pulls."""
-        key = (node.name, meta.name)
-        pending = self._inflight.get(key)
-        if pending is not None:
-            yield pending
-            return
+        """Fetch a replica from a peer (run through :meth:`_once`, so
+        concurrent pulls to one node share one transfer)."""
         holders = self._replicas.get(meta.name)
         if not holders:
             raise FileNotFoundError(f"no replica of {meta.name!r}")
-        done = Event(self.env)
-        self._inflight[key] = done
-        try:
-            yield self.env.timeout(self.PULL_LATENCY)
-            # Pull from the least-loaded holder's NIC (ties broken by
-            # name so runs are reproducible across processes).
-            source = min((self._by_name[h] for h in sorted(holders)),
-                         key=lambda w: w.nic.tx.active_flows)
-            stages = [source.network.transfer(source.nic, node.nic,
-                                              meta.size)]
-            # The source serves from its page cache when hot.
-            src_pc = self._page_caches[source.name]
-            if not src_pc.lookup(meta.name):
-                stages.append(source.disk.read(meta.size))
-                src_pc.insert(meta.name, meta.size)
-            # Landing write on the consumer.
-            stages.append(node.disk.write((self.name, meta.name), meta.size))
-            yield self.env.all_of(stages)
-            self._replicas[meta.name].add(node.name)
-            self._page_cache_insert(node, meta)
-        finally:
-            del self._inflight[key]
-            done.succeed()
+        yield self.env.timeout(self.PULL_LATENCY)
+        # Pull from the least-loaded holder's NIC (ties broken by
+        # name so runs are reproducible across processes).
+        source = min((self._by_name[h] for h in sorted(holders)),
+                     key=lambda w: w.nic.tx.active_flows)
+        stages = [source.network.transfer(source.nic, node.nic, meta.size)]
+        # The source serves from its page cache when hot.
+        src_pc = self._page_caches[source.name]
+        if not src_pc.lookup(meta.name):
+            stages.append(source.disk.read(meta.size))
+            src_pc.insert(meta.name, meta.size)
+        # Landing write on the consumer.
+        stages.append(node.disk.write((self.name, meta.name), meta.size))
+        yield self.env.all_of(stages)
+        self._replicas[meta.name].add(node.name)
+        self._page_cache_insert(node, meta)

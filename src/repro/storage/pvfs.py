@@ -84,7 +84,6 @@ class PVFSStorage(StorageSystem):
         return [size / n] * n
 
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_read(meta, remote=True)
         yield self._meta.submit(self.OPEN_LATENCY)
         # Stripe transfers run in parallel, but the client stream can
@@ -96,7 +95,6 @@ class PVFSStorage(StorageSystem):
         ] + [self.env.timeout(meta.size / self.PER_STREAM_BW)])
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_write(meta, remote=True)
         # File creation: contact every server for handle allocation,
         # serialized through the metadata coordination path.

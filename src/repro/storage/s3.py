@@ -21,9 +21,8 @@ $0.01 per 10,000 GETs).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, Set
 
-from ..simcore.events import Event
 from .base import StorageSystem
 from .files import FileMetadata
 from .pagecache import HIT_LATENCY as PC_HIT_LATENCY
@@ -69,9 +68,6 @@ class S3Storage(StorageSystem):
         self._bucket: Set[str] = set()
         #: Per-node whole-file cache: node name -> set of file names.
         self._cache: Dict[str, Set[str]] = {}
-        #: In-flight GETs so concurrent readers on one node share one
-        #: download: (node, file) -> completion event.
-        self._inflight: Dict[Tuple[str, str], Event] = {}
 
     def _on_deploy(self) -> None:
         self._cache = {w.name: set() for w in self.workers}
@@ -114,14 +110,13 @@ class S3Storage(StorageSystem):
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
         """GET to the local disk if not cached, then the program reads
         the local copy (from RAM while its pages stay resident)."""
-        self._require_deployed()
         cached = meta.name in self._cache[node.name]
         self._count_read(meta, remote=not cached)
         if cached:
             self.stats.cache_hits += 1
         else:
             self.stats.cache_misses += 1
-            yield from self._fetch(node, meta)
+            yield from self._once(node, meta, self._fetch)
         # Disk -> program: free while the landing copy is resident.
         if self._page_cache_hit(node, meta):
             yield self.env.timeout(PC_HIT_LATENCY)
@@ -131,7 +126,6 @@ class S3Storage(StorageSystem):
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
         """Program writes the local disk, then the client PUTs to S3."""
-        self._require_deployed()
         self._count_write(meta, remote=True)
         # Program -> disk (first write; pays the ephemeral penalty).
         yield node.disk.write(("s3cache", meta.name), meta.size)
@@ -152,27 +146,16 @@ class S3Storage(StorageSystem):
     # -- helpers -------------------------------------------------------------------
 
     def _fetch(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        """Download ``meta`` into the node cache, deduplicating
-        concurrent requests for the same file on the same node."""
-        key = (node.name, meta.name)
-        pending = self._inflight.get(key)
-        if pending is not None:
-            yield pending
-            return
+        """GET ``meta`` into ``node``'s cache (run through :meth:`_once`,
+        so concurrent readers on one node share one download)."""
         if meta.name not in self._bucket:
             raise FileNotFoundError(f"object {meta.name!r} not in S3")
-        done = Event(self.env)
-        self._inflight[key] = done
-        try:
-            self.stats.get_requests += 1
-            yield self.env.timeout(self.GET_LATENCY)
-            # Wire transfer and the local-disk landing write pipeline.
-            yield (self.cloud.network.transfer(
-                       self.endpoint, node.nic, meta.size,
-                       max_rate=self.PER_STREAM_BW)
-                   & node.disk.write(("s3cache", meta.name), meta.size))
-            self._cache[node.name].add(meta.name)
-            self._page_cache_insert(node, meta)
-        finally:
-            del self._inflight[key]
-            done.succeed()
+        self.stats.get_requests += 1
+        yield self.env.timeout(self.GET_LATENCY)
+        # Wire transfer and the local-disk landing write pipeline.
+        yield (self.cloud.network.transfer(
+                   self.endpoint, node.nic, meta.size,
+                   max_rate=self.PER_STREAM_BW)
+               & node.disk.write(("s3cache", meta.name), meta.size))
+        self._cache[node.name].add(meta.name)
+        self._page_cache_insert(node, meta)

@@ -50,14 +50,12 @@ class XtreemFSStorage(StorageSystem):
             "xtreemfs", self.SERVICE_BW)
 
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_read(meta, remote=True)
         yield self.env.timeout(self.OP_LATENCY)
         yield self.cloud.network.transfer(
             self.endpoint, node.nic, meta.size, max_rate=self.PER_STREAM_BW)
 
     def write(self, node: "VMInstance", meta: FileMetadata) -> Generator:
-        self._require_deployed()
         self._count_write(meta, remote=True)
         yield self.env.timeout(self.OP_LATENCY)
         yield self.cloud.network.transfer(

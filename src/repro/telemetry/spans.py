@@ -24,7 +24,6 @@ pairs after the run.  Two exporters serialise the tree:
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Optional, Union)
@@ -134,16 +133,6 @@ class SpanBuilder:
             self._stack.pop()
         self.trace.emit(self.env.now, SPAN_CATEGORY, "end",
                         span_id=span_id, **fields)
-
-    @contextmanager
-    def span(self, category: str, name: str,
-             parent_id: Optional[int] = None, **fields: Any):
-        """Context manager bracketing a span around a code region."""
-        sid = self.begin(category, name, parent_id=parent_id, **fields)
-        try:
-            yield sid
-        finally:
-            self.end(sid)
 
 
 # ----------------------------------------------------------- reconstruction

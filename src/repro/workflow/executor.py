@@ -11,8 +11,11 @@ task wrappers produce:
 4. write every output through the storage system (for S3: local write
    + PUT).
 
-The write-once namespace brackets every transfer, so any scheduling or
-storage bug that would corrupt the data-flow fails the simulation.
+Every transfer goes through :meth:`StorageSystem.io
+<repro.storage.base.StorageSystem.io>`, which brackets it in the
+write-once namespace (and runs the storage fault retry loop), so any
+scheduling or storage bug that would corrupt the data-flow fails the
+simulation.
 """
 
 from __future__ import annotations
@@ -126,11 +129,7 @@ def execute_job(env: "Environment", job: "ExecutableJob",
             phase = spans.begin("phase", "read", node=node.name, task=task.id)
             try:
                 for meta in job.inputs:
-                    ns.begin_read(meta.name)
-                    try:
-                        yield from storage.span_read(node, meta, spans)
-                    finally:
-                        ns.end_read(meta.name)
+                    yield from storage.io("read", node, meta, spans)
                     record.bytes_read += meta.size
             finally:
                 spans.end(phase)
@@ -166,16 +165,7 @@ def execute_job(env: "Environment", job: "ExecutableJob",
                         # output before dying (e.g. node crash between
                         # two writes); write-once forbids redoing it.
                         continue
-                    ns.begin_write(meta.name)
-                    try:
-                        yield from storage.span_write(node, meta, spans)
-                    except BaseException:
-                        # Crashed mid-write (eviction, storage giveup):
-                        # nothing was published, so the retry may
-                        # produce the file afresh.
-                        ns.abort_write(meta.name)
-                        raise
-                    ns.end_write(meta.name)
+                    yield from storage.io("write", node, meta, spans)
                     record.bytes_written += meta.size
             finally:
                 spans.end(phase)

@@ -79,7 +79,6 @@ class PegasusMapper:
         object stores.
         """
         workflow.validate()
-        storage._require_deployed()
 
         # File registration: inputs are pre-staged (the paper excludes
         # input-transfer time from makespans), products are declared.

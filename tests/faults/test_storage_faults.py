@@ -134,7 +134,7 @@ def test_storage_unavailable_error_is_typed():
 
     def writer():
         try:
-            yield from fs.span_write(workers[0], meta, spans)
+            yield from fs.io("write", workers[0], meta, spans)
         except StorageUnavailableError as exc:
             captured["exc"] = exc
 
@@ -157,7 +157,7 @@ def test_failed_attempts_do_not_touch_backend_state():
 
     def writer():
         try:
-            yield from fs.span_write(workers[0], meta, spans)
+            yield from fs.io("write", workers[0], meta, spans)
         except StorageUnavailableError:
             caught.append(True)
 
@@ -166,6 +166,72 @@ def test_failed_attempts_do_not_touch_backend_state():
     assert caught == [True]
     assert fs.stats.writes == 0
     assert fs.stats.bytes_written == 0.0
+
+
+def test_failed_op_closes_its_spans_and_aborts_its_write():
+    """A write that exhausts its retries leaves no span open and the
+    file PENDING again, so a later attempt may produce it afresh."""
+    from repro.simcore import TraceCollector
+    from repro.storage.files import FileMetadata, FileState
+    from repro.telemetry.spans import SpanBuilder, spans_from_trace
+
+    env, workers, fs, _ = make_broken_nfs(max_retries=1)
+    trace = TraceCollector()
+    spans = SpanBuilder(trace, env)
+    meta = FileMetadata("f", 1e6)
+    fs.declare_output(meta)
+    caught = []
+
+    def writer():
+        try:
+            yield from fs.io("write", workers[0], meta, spans)
+        except StorageUnavailableError:
+            caught.append(env.now)
+
+    env.process(writer())
+    env.run()
+    assert caught == [pytest.approx(env.now)]
+    begins = trace.select("span", "begin")
+    assert [r.get("span_category") for r in begins] == ["storage_fault"] * 2
+    assert len(trace.select("span", "end")) == 2
+    assert all(s.closed for s in spans_from_trace(trace))
+    assert fs.namespace.state("f") is FileState.PENDING
+
+
+def test_interrupted_write_closes_its_span_and_aborts_its_write():
+    """A node crash mid-write (an Interrupt inside the backend hook)
+    closes the ``storage_op`` span and returns the file to PENDING."""
+    from repro.simcore import Interrupt, TraceCollector
+    from repro.storage.files import FileMetadata, FileState
+    from repro.telemetry.spans import SpanBuilder, spans_from_trace
+
+    env = Environment()
+    cloud = EC2Cloud(env)
+    workers = cloud.launch_many("c1.xlarge", 1)
+    fs = NFSStorage(env, cloud.launch("m1.xlarge"))
+    fs.deploy(workers)
+    trace = TraceCollector()
+    spans = SpanBuilder(trace, env)
+    meta = FileMetadata("f", 100e6)
+    fs.declare_output(meta)
+    caught = []
+
+    def writer():
+        try:
+            yield from fs.io("write", workers[0], meta, spans)
+        except Interrupt:
+            caught.append(env.now)
+
+    def killer(victim):
+        yield env.timeout(0.5)
+        victim.interrupt("node crash")
+
+    env.process(killer(env.process(writer())))
+    env.run()
+    assert caught == [0.5]
+    (span,) = spans_from_trace(trace)
+    assert span.category == "storage_op" and span.end == 0.5
+    assert fs.namespace.state("f") is FileState.PENDING
 
 
 def test_zero_rate_spec_attaches_nothing():

@@ -84,14 +84,6 @@ def test_disabled_builder_is_inert():
     assert len(NULL_COLLECTOR) == 0
 
 
-def test_span_context_manager_closes_on_error():
-    env, trace, sb = builder()
-    with pytest.raises(RuntimeError):
-        with sb.span("job", "t1"):
-            raise RuntimeError("boom")
-    assert len(trace.select("span", "end")) == 1
-
-
 # --------------------------------------------------------- reconstruction
 
 def test_spans_from_trace_rebuilds_tree():
