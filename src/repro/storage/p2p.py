@@ -71,6 +71,14 @@ class DirectTransferStorage(StorageSystem):
 
     # -- data path ----------------------------------------------------------------
 
+    def _op_needs_service(self, op, node, meta):
+        # There is no shared service: writes stay on the producer's own
+        # disk, and so does a read of a replica the node already holds.
+        # Only a pull from a peer needs the network and the registry.
+        if op == "write":
+            return False
+        return node.name not in self._replicas.get(meta.name, ())
+
     def read(self, node: "VMInstance", meta: FileMetadata) -> Generator:
         local = node.name in self._replicas.get(meta.name, ())
         self._count_read(meta, remote=not local)

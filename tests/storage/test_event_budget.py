@@ -68,6 +68,7 @@ SERVICE_FREE = {
     ("glusterfs-nufa", "write"), ("glusterfs-nufa", "cache_hit"),
     # "f" hashes to the writer's own brick.
     ("glusterfs-distribute", "write"), ("glusterfs-distribute", "cache_hit"),
+    ("p2p", "write"), ("p2p", "cache_hit"),
 }
 
 

@@ -137,7 +137,9 @@ SCENARIOS = list(GOLDEN_CHAINS)
 # storage errors under a retry policy, and (on 2-node cells) a node
 # crash whose evicted jobs abort their half-done writes.  These chains
 # cover the retry, outage and eviction paths the 20 fault-free
-# scenarios never take.
+# scenarios never take.  The p2p entry was re-pinned when p2p stopped
+# counting node-local writes and local-replica reads as touching a
+# shared service (p2p has none), so the outage no longer fails them.
 GOLDEN_FAULT_CHAINS = {
     "local":
         "64b9e09c738f8a1137982c1a1dab33da225865e7ef6cbefebb08e5a1a5b8cbd3",
@@ -154,7 +156,7 @@ GOLDEN_FAULT_CHAINS = {
     "xtreemfs":
         "71e1a875713d174fc2b0ff24520f7743e4bf0ea36b9b05e23828007f86f2869b",
     "p2p":
-        "5b6d5b5bc9dc25ad207fe6790a101912e0a799fb9c1d2dda07a5e2903b378a03",
+        "3eaabf43002d6d6f1ed9be17844ee1763c998a4f3b0a3794bee7c61417a48768",
 }
 
 
