@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Optional
 
-from ..simcore.resources import Container, Resource
+from ..simcore.resources import Container
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
 from ..telemetry.spans import SpanBuilder
 from .disk import BlockDevice, make_node_disk
@@ -49,8 +49,6 @@ class VMInstance:
         self.itype = itype
         self.name = name if name is not None else f"i-{next(_instance_counter)}"
         self.trace = trace
-        #: One Condor slot per core.
-        self.cores = Resource(env, capacity=itype.cores)
         #: Physical memory in bytes; tasks claim their peak RSS.
         self.memory = Container(env, capacity=itype.memory_bytes,
                                 init=itype.memory_bytes)
@@ -60,9 +58,8 @@ class VMInstance:
             initialized=initialized_disks, use_raid=use_raid,
             name=f"{self.name}.disk", trace=trace,
         )
-        #: Slots currently executing a job (maintained by the Condor
-        #: pool; ``cores`` is the capacity ledger, this is the live
-        #: occupancy the utilization sampler reads).
+        #: Condor slots (one per core) currently executing a job,
+        #: maintained by the Condor pool.
         self.busy_slots = 0
         #: NIC endpoint on the cluster fabric.
         self.nic: Endpoint = network.attach(self.name, itype.nic_bw)
@@ -89,7 +86,7 @@ class VMInstance:
     @property
     def slots_free(self) -> int:
         """Idle Condor slots."""
-        return self.cores.available
+        return self.itype.cores - self.busy_slots
 
     @property
     def cpu_utilization(self) -> float:

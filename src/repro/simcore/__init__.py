@@ -5,8 +5,7 @@ Public surface:
 * :class:`Environment` — clock + event loop;
 * :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`AllOf` —
   waitables;
-* :class:`Resource`, :class:`Container`, :class:`Store` — contended
-  entities;
+* :class:`Container`, :class:`Store` — contended entities;
 * :class:`FairShareChannel` — processor-sharing device model (disks);
 * :class:`Link`, :class:`FlowNetwork` — max-min fair network model;
 * :class:`TraceCollector` — structured run traces;
@@ -26,7 +25,7 @@ from .events import AllOf, Event, Process, Timeout
 from .flownet import FlowNetwork, Link
 from .pipes import FairShareChannel
 from .rand import jittered, substream
-from .resources import Container, Request, Resource, Store
+from .resources import Container, Store
 from .tracing import NULL_COLLECTOR, TraceCollector, TraceRecord
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "NULL_COLLECTOR",
     "NotPending",
     "Process",
-    "Request",
-    "Resource",
     "SimulationDeadlock",
     "SimulationError",
     "Store",

@@ -1,15 +1,15 @@
-"""Shared-resource primitives: Resource, Container, Store.
+"""Shared-resource primitives: Container and Store.
 
-These model the contended entities of the simulated cluster: CPU slots
-(Resource), node memory (Container), and queues of work items (Store).
-All follow the request/event idiom::
+These model the contended entities of the simulated cluster: node
+memory and the NFS dirty-page quota (Container), and queues of work
+items (Store).  Both follow the event idiom: ``get``/``put`` return an
+event that fires once the request can be honoured::
 
-    req = resource.request()
-    yield req
+    yield memory.get(nbytes)
     try:
-        ... hold the resource ...
+        ... hold the memory ...
     finally:
-        resource.release(req)
+        memory.put(nbytes)
 """
 
 from __future__ import annotations
@@ -21,94 +21,6 @@ from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
-
-
-class Request(Event):
-    """A pending or granted claim on a :class:`Resource`."""
-
-    __slots__ = ("resource", "amount")
-
-    def __init__(self, env: "Environment", resource: "Resource", amount: int = 1) -> None:
-        super().__init__(env)
-        self.resource = resource
-        self.amount = amount
-
-    def cancel(self) -> None:
-        """Withdraw a request that has not been granted yet."""
-        if self.triggered:
-            raise NotPending("request already granted; release() it instead")
-        self.resource._withdraw(self)
-
-
-class Resource:
-    """A counted resource with FIFO granting (e.g. CPU slots).
-
-    ``capacity`` units exist; each request claims ``amount`` of them
-    until released.
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: List[Request] = []
-
-    # -- public API ----------------------------------------------------------
-
-    @property
-    def in_use(self) -> int:
-        """Units currently claimed."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting to be granted."""
-        return len(self._waiters)
-
-    def request(self, amount: int = 1) -> Request:
-        """Claim ``amount`` units; the returned event fires when granted."""
-        if amount <= 0 or amount > self.capacity:
-            raise ValueError(
-                f"amount {amount} out of range for capacity {self.capacity}"
-            )
-        req = Request(self.env, self, amount)
-        self._waiters.append(req)
-        self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return the units held by ``request``."""
-        if not request.triggered:
-            raise NotPending("request was never granted; cancel() it instead")
-        self._in_use -= request.amount
-        if self._in_use < 0:
-            raise AssertionError("resource released more than acquired")
-        self._grant()
-
-    # -- internals -------------------------------------------------------------
-
-    def _withdraw(self, request: Request) -> None:
-        self._waiters.remove(request)
-        self._grant()
-
-    def _grant(self) -> None:
-        # FIFO: grant from the head while capacity allows.  A large
-        # request at the head blocks smaller ones behind it (no
-        # overtaking), which matches batch-scheduler semantics.
-        while self._waiters:
-            head = self._waiters[0]
-            if self._in_use + head.amount > self.capacity:
-                break
-            self._waiters.pop(0)
-            self._in_use += head.amount
-            head.succeed()
 
 
 class Container:

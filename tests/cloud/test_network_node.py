@@ -115,7 +115,6 @@ def test_vm_resources_match_type():
     net = ClusterNetwork(env)
     itype = get_instance_type("c1.xlarge")
     vm = VMInstance(env, itype, net, name="w0")
-    assert vm.cores.capacity == 8
     assert vm.memory.capacity == pytest.approx(7.0 * GB)
     assert vm.slots_free == 8
     assert vm.memory_free == pytest.approx(7.0 * GB)

@@ -5,12 +5,12 @@ import pytest
 
 from repro.simcore import (
     AllOf,
+    Container,
     Environment,
     FairShareChannel,
     FlowNetwork,
     Interrupt,
     Link,
-    Resource,
 )
 
 
@@ -74,21 +74,20 @@ def test_interrupt_while_waiting_on_channel():
 
 def test_interrupt_while_queued_on_resource():
     env = Environment()
-    res = Resource(env, capacity=1)
+    memory = Container(env, capacity=1.0, init=1.0)
     log = []
 
     def holder(env):
-        req = res.request()
-        yield req
+        yield memory.get(1.0)
         yield env.timeout(100.0)
-        res.release(req)
+        yield memory.put(1.0)
 
     def waiter(env):
-        req = res.request()
+        get = memory.get(1.0)
         try:
-            yield req
+            yield get
         except Interrupt:
-            req.cancel()
+            memory.cancel_get(get)
             log.append(env.now)
 
     def killer(env, victim):
@@ -100,7 +99,7 @@ def test_interrupt_while_queued_on_resource():
     env.process(killer(env, victim))
     env.run(until=10.0)
     assert log == [3.0]
-    assert res.queue_length == 0
+    assert memory._getters == []
 
 
 def test_mixed_events_and_processes_in_conditions():

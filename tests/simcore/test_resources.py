@@ -1,139 +1,12 @@
-"""Unit tests for Resource, Container, Store."""
+"""Unit tests for Container and Store."""
 
 import pytest
 
 from repro.simcore import (
     Container,
     Environment,
-    NotPending,
-    Resource,
     Store,
 )
-
-
-# ---------------------------------------------------------------- Resource
-
-def test_resource_basic_acquire_release():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def user(env, res, tag, hold):
-        req = res.request()
-        yield req
-        log.append((tag, "got", env.now))
-        yield env.timeout(hold)
-        res.release(req)
-
-    env.process(user(env, res, "a", 5.0))
-    env.process(user(env, res, "b", 5.0))
-    env.run()
-    assert log == [("a", "got", 0.0), ("b", "got", 5.0)]
-
-
-def test_resource_capacity_allows_concurrency():
-    env = Environment()
-    res = Resource(env, capacity=3)
-    got_times = []
-
-    def user(env):
-        req = res.request()
-        yield req
-        got_times.append(env.now)
-        yield env.timeout(10.0)
-        res.release(req)
-
-    for _ in range(5):
-        env.process(user(env))
-    env.run()
-    assert got_times == [0.0, 0.0, 0.0, 10.0, 10.0]
-
-
-def test_resource_counts():
-    env = Environment()
-    res = Resource(env, capacity=4)
-
-    def user(env):
-        req = res.request(2)
-        yield req
-        yield env.timeout(1.0)
-        res.release(req)
-
-    env.process(user(env))
-    env.process(user(env))
-    env.process(user(env))
-    env.run(until=0.5)
-    assert res.in_use == 4
-    assert res.available == 0
-    assert res.queue_length == 1
-    env.run()
-    assert res.in_use == 0
-
-
-def test_resource_invalid_amounts():
-    env = Environment()
-    res = Resource(env, capacity=2)
-    with pytest.raises(ValueError):
-        res.request(0)
-    with pytest.raises(ValueError):
-        res.request(3)
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_resource_release_ungranted_rejected():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    res.request()  # take the unit
-    waiting = res.request()
-    with pytest.raises(NotPending):
-        res.release(waiting)
-
-
-def test_resource_cancel_pending_request():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    held = res.request()
-    env.run()
-    assert held.triggered
-    waiting = res.request()
-    waiting.cancel()
-    assert res.queue_length == 0
-
-
-def test_resource_no_overtaking():
-    """A large request at the head blocks later small ones (FIFO)."""
-    env = Environment()
-    res = Resource(env, capacity=2)
-    order = []
-
-    def holder(env):
-        req = res.request(2)
-        yield req
-        order.append("holder")
-        yield env.timeout(10.0)
-        res.release(req)
-
-    def big(env):
-        yield env.timeout(1.0)
-        req = res.request(2)
-        yield req
-        order.append("big")
-        yield env.timeout(1.0)
-        res.release(req)
-
-    def small(env):
-        yield env.timeout(2.0)  # arrives after big
-        req = res.request(1)
-        yield req
-        order.append("small")
-        res.release(req)
-
-    env.process(holder(env))
-    env.process(big(env))
-    env.process(small(env))
-    env.run()
-    assert order == ["holder", "big", "small"]
 
 
 # --------------------------------------------------------------- Container

@@ -67,6 +67,20 @@ def test_pool_queue_depth_counts_idle_jobs():
     assert pool.queue_depth == 0
 
 
+def test_slots_free_tracks_running_jobs():
+    env, workers, storage, pool = setup(n_workers=1)
+    (node,) = workers
+    plan = PegasusMapper().plan(two_stage_workflow(width=4), storage)
+    dagman = DAGMan(env, plan, pool)
+    dagman.start()
+    samples = []
+    while not dagman.done.triggered:
+        env.run(until=env.now + 1.0)
+        samples.append((node.busy_slots, node.slots_free))
+    assert (4, 4) in samples  # the four producers run side by side
+    assert all(busy + free == 8 for busy, free in samples)
+
+
 def test_dispatch_latency_configurable():
     env, workers, storage, pool = setup(n_workers=1)
     pool.DISPATCH_LATENCY = 0.0
