@@ -19,17 +19,11 @@ sys.path.insert(0, "src")  # allow running from a plain checkout
 
 from repro.apps import build_synthetic  # noqa: E402
 from repro.experiments import ExperimentConfig, run_experiment  # noqa: E402
+from repro.storage import STORAGE_NAMES  # noqa: E402
 
-#: (storage, nodes) — every backend in the paper's matrix, smallest
-#: valid deployment that still exercises remote traffic.
-MATRIX = [
-    ("local", 1),
-    ("nfs", 2),
-    ("s3", 2),
-    ("glusterfs-nufa", 2),
-    ("glusterfs-distribute", 2),
-    ("pvfs", 2),
-]
+#: (storage, nodes) — every backend, smallest valid deployment that
+#: still exercises remote traffic (local disk exists on one node only).
+MATRIX = [(name, 1 if name == "local" else 2) for name in STORAGE_NAMES]
 
 ERROR_RATE = 0.1
 NODE_MTBF = 600.0  # low enough to usually fire on multi-node cells
