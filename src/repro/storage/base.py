@@ -190,9 +190,6 @@ class StorageSystem(abc.ABC):
             ns.begin_write(name)
         try:
             faults = self._faults
-            # Explicit begin/end (not a context manager): this brackets
-            # every storage operation, and the contextmanager protocol
-            # costs more than the span itself at this call rate.
             if faults is None:
                 sid = spans.begin("storage_op", f"{op} {name}", op=op,
                                   storage=self.name, node=node.name,

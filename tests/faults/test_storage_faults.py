@@ -106,6 +106,7 @@ def test_retry_exhaustion_fails_the_workflow():
 
 def make_broken_nfs(max_retries=0):
     """An NFS deployment whose server is down for the whole run."""
+    from repro.simcore import TraceCollector
     from repro.telemetry.spans import SpanBuilder
 
     spec = FaultSpec(
@@ -120,12 +121,12 @@ def make_broken_nfs(max_retries=0):
     fs.deploy(workers)
     faults = FaultCoordinator(env, spec, seed=0)
     faults.attach_storage(fs)
-    spans = SpanBuilder(fs.trace, env)
+    spans = SpanBuilder(TraceCollector(), env)
     return env, workers, fs, spans
 
 
 def test_storage_unavailable_error_is_typed():
-    from repro.storage.files import FileMetadata
+    from repro.storage.files import FileMetadata, FileState
 
     env, workers, fs, spans = make_broken_nfs(max_retries=1)
     meta = FileMetadata("f", 1e6)
@@ -143,6 +144,12 @@ def test_storage_unavailable_error_is_typed():
     assert isinstance(captured["exc"], StorageUnavailableError)
     assert "write" in str(captured["exc"])
     assert "2 attempts" in str(captured["exc"])
+    # Both failed attempts closed their spans, and the write was
+    # aborted, so a later attempt may produce the file afresh.
+    begins = spans.trace.select("span", "begin")
+    assert [r.get("span_category") for r in begins] == ["storage_fault"] * 2
+    assert len(spans.trace.select("span", "end")) == 2
+    assert fs.namespace.state("f") is FileState.PENDING
 
 
 def test_failed_attempts_do_not_touch_backend_state():
@@ -166,36 +173,6 @@ def test_failed_attempts_do_not_touch_backend_state():
     assert caught == [True]
     assert fs.stats.writes == 0
     assert fs.stats.bytes_written == 0.0
-
-
-def test_failed_op_closes_its_spans_and_aborts_its_write():
-    """A write that exhausts its retries leaves no span open and the
-    file PENDING again, so a later attempt may produce it afresh."""
-    from repro.simcore import TraceCollector
-    from repro.storage.files import FileMetadata, FileState
-    from repro.telemetry.spans import SpanBuilder, spans_from_trace
-
-    env, workers, fs, _ = make_broken_nfs(max_retries=1)
-    trace = TraceCollector()
-    spans = SpanBuilder(trace, env)
-    meta = FileMetadata("f", 1e6)
-    fs.declare_output(meta)
-    caught = []
-
-    def writer():
-        try:
-            yield from fs.io("write", workers[0], meta, spans)
-        except StorageUnavailableError:
-            caught.append(env.now)
-
-    env.process(writer())
-    env.run()
-    assert caught == [pytest.approx(env.now)]
-    begins = trace.select("span", "begin")
-    assert [r.get("span_category") for r in begins] == ["storage_fault"] * 2
-    assert len(trace.select("span", "end")) == 2
-    assert all(s.closed for s in spans_from_trace(trace))
-    assert fs.namespace.state("f") is FileState.PENDING
 
 
 def test_interrupted_write_closes_its_span_and_aborts_its_write():
