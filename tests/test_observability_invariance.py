@@ -23,6 +23,8 @@ from repro.apps import (
 from repro.experiments import (
     ExperimentConfig,
     ObserveOptions,
+    result_from_json,
+    result_to_json,
     run_sweep,
 )
 from repro.faults import FaultSpec, NodeCrash, OutageWindow, RetryPolicy
@@ -159,6 +161,30 @@ GOLDEN_FAULT_CHAINS = {
         "3eaabf43002d6d6f1ed9be17844ee1763c998a4f3b0a3794bee7c61417a48768",
 }
 
+# sha256 of ``to_prometheus(result.metrics)`` for the same scenarios.
+# The chains pin the trace; these pin the absolute metric values derived
+# from it (fault_events_total, storage_retry_delay_seconds,
+# vm_crashes_total, tasks_failed_total and the summary gauges), both on
+# the live result and after a JSON round-trip.
+GOLDEN_FAULT_METRICS = {
+    "local":
+        "9f60c813ce69738131708751a29d411d1ae248c8b88350f3eacdf0d4888784d1",
+    "s3":
+        "cde4b02b49b37197573f62bb337541d069d0bf2445ebf43cc78ac286a8cb9b6f",
+    "nfs":
+        "494b48af30ec21b6da56043dd4b056e500d5e170211b234892ee24fc3227db8c",
+    "glusterfs-nufa":
+        "d54d577266d2db9c88eb17630cd3e3929e8f3da025fe428cf5315e11db15595c",
+    "glusterfs-distribute":
+        "e3a64f6251d258994a179477bbd637dc81a4bba7596071ba5472b9b566be00bc",
+    "pvfs":
+        "3c0cd47481deddafc15a725ff6692ba9cdcb47b8c2b0a333fedad4425c178314",
+    "xtreemfs":
+        "930babe1789e7601148f0b3e5d81ab6f0cf957608e0a257347c3993f4521d694",
+    "p2p":
+        "f278760e7bcf76bfeb8c7c70d7aebfb176662dd3db90d8866d289d4978f5822e",
+}
+
 
 def small_workflow(app):
     if app == "montage":
@@ -282,3 +308,8 @@ def test_fault_mode_chain_is_pinned(storage):
     assert (result.faults.as_dict()["storage_errors"] > 0) \
         == (storage != "local")
     assert _hash_chain(result) == GOLDEN_FAULT_CHAINS[storage]
+    clone = result_from_json(result_to_json(result))
+    for metrics in (result.metrics, clone.metrics):
+        text = to_prometheus(metrics)
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == GOLDEN_FAULT_METRICS[storage]
