@@ -109,9 +109,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if args.metrics_out:
         from .telemetry import write_metrics
-        write_metrics(args.metrics_out, result.metrics,
-                      fmt=args.metrics_format)
-        print(f"  wrote {len(result.metrics)} metrics to "
+        metrics = result.metrics
+        write_metrics(args.metrics_out, metrics, fmt=args.metrics_format)
+        print(f"  wrote {len(metrics)} metrics to "
               f"{args.metrics_out} ({args.metrics_format})",
               file=sys.stderr)
     if args.timeline:

@@ -5,6 +5,11 @@ configuration cell — cloud, virtual cluster, storage deployment,
 workflow management system — executes the application, terminates the
 cluster, and prices the run.  :func:`run_sweep` drives a list of cells
 (one fresh world each; nothing leaks between cells).
+
+A result's telemetry views — :attr:`ExperimentResult.spans` and
+:attr:`ExperimentResult.metrics` — are derived on request from its
+finished trace, so a result carries no live telemetry state: it pickles
+across a process pool and round-trips through JSON as plain data.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from ..observe.profiles import capture_profile
 from ..simcore.engine import Environment
 from ..simcore.tracing import NULL_COLLECTOR, TraceCollector
 from ..storage import make_storage
-from ..telemetry.metrics import NULL_REGISTRY, MetricsRegistry, install_trace_bridge
+from ..telemetry.metrics import MetricsRegistry, metrics_from_trace
 from ..telemetry.sampler import Timeline, UtilizationSampler, attach_cluster
 from ..telemetry.spans import Span, SpanBuilder, spans_from_trace
 from ..workflow.dag import Workflow
@@ -96,8 +101,6 @@ class ExperimentResult:
     run: WorkflowRun
     cost: WorkflowCost
     trace: Optional[TraceCollector] = None
-    #: Per-run instrument registry (None when telemetry was disabled).
-    metrics: Optional[MetricsRegistry] = None
     #: Sampled utilization timelines (None when telemetry was disabled).
     timeline: Optional[Timeline] = None
     #: What the fault layer injected/recovered (None = faults off).
@@ -119,6 +122,17 @@ class ExperimentResult:
         if self.trace is None:
             return []
         return spans_from_trace(self.trace)
+
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """The run's instrument registry, derived from the trace plus
+        the summary gauges (None without a trace).  Built afresh on
+        every access: bind it once when reading it repeatedly."""
+        if self.trace is None:
+            return None
+        metrics = metrics_from_trace(self.trace)
+        _set_summary_gauges(metrics, self.config, self.run, self.cost)
+        return metrics
 
     def summary_row(self) -> Dict[str, object]:
         """Flat dict for result tables / CSV export."""
@@ -160,9 +174,9 @@ def run_experiment(config: ExperimentConfig,
     ``rescue`` resumes from / checkpoints to a rescue-DAG log.
     ``trace`` supplies an external collector (the flight recorder's) so
     observers see kernel events even when ``collect_traces`` is off;
-    the *result's* trace/metrics fields stay keyed to
-    ``config.collect_traces`` regardless, and an external collector is
-    purely a passive subscriber — it cannot change the run.
+    the *result's* trace stays keyed to ``config.collect_traces``
+    regardless, and an external collector only records — it cannot
+    change the run.
     """
     ok, why = config.is_valid()
     if not ok:
@@ -171,8 +185,6 @@ def run_experiment(config: ExperimentConfig,
     telemetry_on = config.collect_traces
     if trace is None:
         trace = TraceCollector() if telemetry_on else NULL_COLLECTOR
-    metrics = MetricsRegistry() if telemetry_on else NULL_REGISTRY
-    install_trace_bridge(metrics, trace)
     env = Environment()
     spans = SpanBuilder(trace, env)
     exp_span = spans.begin("experiment", config.label, app=config.app,
@@ -240,12 +252,9 @@ def run_experiment(config: ExperimentConfig,
         cloud.billing, storage.stats, storage.name,
         makespan=run.makespan, stored_gb=stored_gb, at=env.now,
     )
-    if telemetry_on:
-        _set_summary_gauges(metrics, config, run, cost)
     return ExperimentResult(
         config=config, run=run, cost=cost,
         trace=trace if telemetry_on else None,
-        metrics=metrics if telemetry_on else None,
         timeline=sampler.timeline if sampler is not None else None,
         faults=faults.report() if faults is not None else None,
     )
@@ -253,7 +262,7 @@ def run_experiment(config: ExperimentConfig,
 
 def _set_summary_gauges(metrics: MetricsRegistry, config: ExperimentConfig,
                         run: WorkflowRun, cost: WorkflowCost) -> None:
-    """Publish the per-run summary gauges (shared with rehydration)."""
+    """Publish the per-run summary gauges."""
     makespan_g = metrics.gauge(
         "experiment_makespan_seconds", "workflow wall-clock time")
     makespan_g.set(run.makespan, app=config.app,
@@ -277,13 +286,8 @@ class _CellObserve:
 class _SweepEnvelope:
     """One attempt at one sweep cell: its result, host measurements, error.
 
-    Inline (``jobs=1``) ``result`` is the live :class:`ExperimentResult`.
-    A live result cannot cross a process boundary — the trace collector
-    carries closure subscribers (the metrics bridge) and the registry
-    holds live instrument objects — so a pool worker strips both off
-    and ships the raw trace rows in ``trace_rows``; the parent replays
-    them through a fresh collector + bridge (:func:`_rehydrate`),
-    reconstructing bit-identical telemetry.
+    ``result`` is the :class:`ExperimentResult` itself, inline and from
+    a pool worker alike: it holds plain data only, so it pickles as is.
 
     The host-side fields (``wall_*``, ``peak_rss``, ``profile_stats``,
     ``error``) feed the sweep monitor and flight recorder only; none of
@@ -294,9 +298,6 @@ class _SweepEnvelope:
     config: ExperimentConfig
     #: None when the cell raised (``error`` holds its crash bundle).
     result: Optional[ExperimentResult]
-    #: Pool only: the stripped trace's ``(time, category, event, fields)``
-    #: rows and id counter (span ids continue from there).
-    trace_rows: Optional[Tuple[List[tuple], int]] = None
     #: Host epoch seconds when the cell was picked up.
     wall_start: float = 0.0
     #: Host wall-clock duration of the cell, seconds.
@@ -365,39 +366,9 @@ def _init_worker(workflow: Optional[Workflow],
 
 
 def _pool_cell(payload) -> _SweepEnvelope:
-    """Pool entry point: :func:`_run_cell`, made picklable."""
-    envelope = _run_cell(payload, *_WORKER_SOURCE)
-    result = envelope.result
-    if result is not None and result.trace is not None:
-        trace = result.trace
-        envelope.trace_rows = ([(r.time, r.category, r.event, r.fields)
-                                for r in trace.records], trace._next_id)
-        result.trace = result.metrics = None
-    return envelope
-
-
-def _rehydrate(envelope: _SweepEnvelope) -> Optional[ExperimentResult]:
-    """The envelope's result, with the telemetry a pool stripped rebuilt.
-
-    Replaying the raw records through a fresh collector with the
-    metrics bridge installed reproduces exactly the trace indexes and
-    instrument values the inline path builds — the bridge is a pure
-    function of the record stream.
-    """
-    result = envelope.result
-    if result is None or envelope.trace_rows is None:
-        return result
-    rows, next_id = envelope.trace_rows
-    trace = TraceCollector()
-    metrics = MetricsRegistry()
-    install_trace_bridge(metrics, trace)
-    emit = trace.emit
-    for time, category, event, fields in rows:
-        emit(time, category, event, **fields)
-    trace._next_id = next_id
-    _set_summary_gauges(metrics, result.config, result.run, result.cost)
-    result.trace, result.metrics = trace, metrics
-    return result
+    """Pool entry point: :func:`_run_cell` with the worker's workflow
+    source (a module-level function, so the pool can pickle it)."""
+    return _run_cell(payload, *_WORKER_SOURCE)
 
 
 def _dispatch_order(configs: List[ExperimentConfig], misses: List[int],
@@ -606,7 +577,7 @@ def _consume_envelope(envelope: _SweepEnvelope, opts: ObserveOptions,
                 peak_rss=envelope.peak_rss,
                 bundle_path=bundle_path)
         return None
-    result = _rehydrate(envelope)
+    result = envelope.result
     if cache is not None:
         cache.put(config, result)
     if monitor is not None:

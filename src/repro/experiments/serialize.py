@@ -17,14 +17,12 @@ Design notes
   round-trip ``repr`` for floats, so every float survives exactly;
   nothing is ever formatted through ``str()``/``repr()`` into a lossy
   string field.
-* **Telemetry by replay.**  A live :class:`TraceCollector` carries
-  closure subscribers and the registry holds live instruments, so the
-  document stores the raw ``(time, category, event, fields)`` records
-  and :func:`result_from_dict` replays them through a fresh collector
-  with the metrics bridge installed — the same mechanism the parallel
-  sweep uses to ship results across process boundaries
-  (:class:`repro.experiments.runner._SweepEnvelope`), which is proven
-  bit-identical by the PR-4 regression tests.
+* **Telemetry from the trace.**  The document stores the raw
+  ``(time, category, event, fields)`` trace records;
+  :func:`result_from_dict` re-emits them into a fresh collector, which
+  rebuilds its query indexes.  Metrics and spans are derived from the
+  trace on request (:attr:`ExperimentResult.metrics`), so a restored
+  result reports exactly what the live one did.
 * **The one exclusion: ``run.plan``.**  The executable plan holds the
   live storage deployment and workflow objects of the simulated world;
   it is a planning artifact, not a measurement, and nothing downstream
@@ -48,12 +46,11 @@ from ..cost.pricing import S3Fees
 from ..faults.injector import FaultReport
 from ..simcore.tracing import TraceCollector
 from ..storage.base import StorageStats
-from ..telemetry.metrics import MetricsRegistry, install_trace_bridge
 from ..telemetry.sampler import Timeline
 from ..workflow.executor import JobRecord
 from ..workflow.wms import WorkflowRun
 from .config import ExperimentConfig
-from .runner import ExperimentResult, _set_summary_gauges
+from .runner import ExperimentResult
 
 #: Bump when a field is added/renamed/retyped; readers key on it.
 RESULT_SCHEMA_VERSION = 1
@@ -120,16 +117,12 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
                  if raw_cost["s3_fees"] is not None else None),
     )
     trace: Optional[TraceCollector] = None
-    metrics: Optional[MetricsRegistry] = None
     if data["trace"] is not None:
         trace = TraceCollector()
-        metrics = MetricsRegistry()
-        install_trace_bridge(metrics, trace)
         emit = trace.emit
         for time, category, event, fields in data["trace"]["records"]:
             emit(time, category, event, **fields)
         trace._next_id = data["trace"]["next_id"]
-        _set_summary_gauges(metrics, config, run, cost)
     timeline: Optional[Timeline] = None
     if data["timeline"] is not None:
         timeline = Timeline()
@@ -140,8 +133,7 @@ def result_from_dict(data: Dict[str, Any]) -> ExperimentResult:
     if data["faults"] is not None:
         faults = FaultReport(**data["faults"])
     return ExperimentResult(config=config, run=run, cost=cost,
-                            trace=trace, metrics=metrics,
-                            timeline=timeline, faults=faults)
+                            trace=trace, timeline=timeline, faults=faults)
 
 
 def result_to_json(result: ExperimentResult,

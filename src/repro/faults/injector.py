@@ -16,8 +16,8 @@ experiment seed —
 * backoff jitter: ``(seed, "fault", "backoff")``.
 
 All fault events flow through the telemetry trace under the ``fault``
-category, so the metrics bridge can maintain fault counters and
-retry-delay histograms without any extra plumbing.
+category, so the run metrics derive fault counters and retry-delay
+histograms from the trace without any extra plumbing.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class StorageFaultState:
         self._error_rng = substream(seed, "fault", "storage-error")
         #: Backoff-jitter stream, shared with the retry wrapper.
         self.backoff_rng = substream(seed, "fault", "backoff")
-        # Counters (also mirrored into the trace for the metrics bridge).
+        # Counters (also mirrored into the trace for the run metrics).
         self.transient_errors = 0
         self.outage_hits = 0
         self.retries = 0

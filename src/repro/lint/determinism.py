@@ -11,8 +11,8 @@ the digest; on mismatch the sanitizer replays the runs and reports the
 first divergent event.
 
 The digest covers the :class:`~repro.simcore.tracing.TraceCollector`
-stream — the same records the telemetry bridge feeds to metrics and
-spans — plus the run's makespan and cost, so the check fails if any
+stream — the same records the run's metrics and spans are derived
+from — plus the run's makespan and cost, so the check fails if any
 observable output is not a pure function of ``(scenario, seed)``.
 """
 

@@ -1,13 +1,12 @@
-"""Failure flight recorder: bounded event ring + crash bundles.
+"""Failure flight recorder: the cell's trace tail + crash bundles.
 
-Every sweep worker can keep a :class:`FlightRecorder` — a live
-:class:`~repro.simcore.tracing.TraceCollector` whose subscriber folds
-the kernel event stream into (a) a bounded ring buffer of the last N
-records and (b) a partial metrics registry.  On cell failure the ring
-and the partial metrics are exactly what a postmortem needs: the final
-seconds of simulated activity before the crash, plus everything counted
-up to that point — without retaining the full (potentially
-multi-hundred-thousand-record) trace of a healthy run.
+Every sweep worker can keep a :class:`FlightRecorder`, which records
+the cell's whole trace in its own
+:class:`~repro.simcore.tracing.TraceCollector` (even when the cell does
+not collect traces for its result) and reports (a) the last N records
+and (b) the metrics derived from the trace.  On cell failure those are
+exactly what a postmortem needs: the final seconds of simulated
+activity before the crash, plus everything counted up to that point.
 
 :func:`crash_bundle` assembles the durable artifact — scenario config
 and digest, exception traceback, ring contents, partial metrics — and
@@ -25,11 +24,10 @@ import dataclasses
 import json
 import os
 import traceback as _traceback
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..simcore.tracing import TraceCollector, TraceRecord
-from ..telemetry.metrics import MetricsRegistry, install_trace_bridge
+from ..simcore.tracing import TraceCollector
+from ..telemetry.metrics import MetricsRegistry, metrics_from_trace
 from .hostclock import wall_now
 
 #: Bump when the bundle layout changes; consumers key on it.
@@ -41,36 +39,36 @@ DEFAULT_RING_CAPACITY = 256
 
 
 class FlightRecorder:
-    """Ring buffer + partial metrics over a live trace collector.
+    """The last ``capacity`` records + metrics of one cell's trace.
 
     The recorder owns its collector; pass ``recorder.trace`` into
     :func:`~repro.experiments.run_experiment` so every kernel event
-    flows through it.  Recording is passive — it subscribes like any
-    other telemetry consumer and cannot perturb the simulation, so
-    digests stay bit-identical with the recorder attached.
+    lands in it.  Recording is passive — the collector only stores
+    records and cannot perturb the simulation, so digests stay
+    bit-identical with the recorder attached.
     """
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY,
-                 trace: Optional[TraceCollector] = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.trace = trace if trace is not None else TraceCollector()
-        self.ring: Deque[TraceRecord] = deque(maxlen=capacity)
-        self.n_seen = 0
-        self.metrics = MetricsRegistry()
-        install_trace_bridge(self.metrics, self.trace)
-        self.trace.subscribe(self._on_record)
+        self.trace = TraceCollector()
 
-    def _on_record(self, rec: TraceRecord) -> None:
-        self.n_seen += 1
-        self.ring.append(rec)
+    @property
+    def n_seen(self) -> int:
+        """Records emitted so far."""
+        return len(self.trace.records)
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Metrics derived from every record emitted so far."""
+        return metrics_from_trace(self.trace)
 
     def ring_rows(self) -> List[Dict[str, Any]]:
-        """The ring contents as plain JSON-serializable rows."""
+        """The last ``capacity`` records as plain JSON-serializable rows."""
         return [{"time": rec.time, "category": rec.category,
                  "event": rec.event, "fields": dict(rec.fields)}
-                for rec in self.ring]
+                for rec in self.trace.records[-self.capacity:]]
 
 
 def _config_dict(config: Any) -> Dict[str, Any]:

@@ -3,8 +3,9 @@
 Every subsystem (scheduler, storage, disks, billing) emits
 :class:`TraceRecord` rows into a shared :class:`TraceCollector`.  The
 profiler (`repro.profiling.wfprof`), the span builder
-(`repro.telemetry.spans`), and the experiment result tables are built
-entirely from these traces, mirroring how the paper derives Table I
+(`repro.telemetry.spans`), the run metrics (`repro.telemetry.metrics`)
+and the experiment result tables are built entirely from these traces
+after the run, mirroring how the paper derives Table I
 from ptrace-based task profiling.
 
 Records are indexed by ``(category, event)`` as they arrive, so the
@@ -15,7 +16,7 @@ thousands of queries and must not go quadratic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class TraceRecord:
@@ -72,15 +73,13 @@ class TraceCollector:
 
     Collection can be disabled wholesale (``enabled=False``) for large
     benchmark sweeps where only aggregate counters are needed.  A
-    disabled collector is inert end to end: ``emit`` drops records and
-    ``subscribe`` is a no-op, so the shared :data:`NULL_COLLECTOR`
-    cannot accumulate state across runs.
+    disabled collector drops every record, so the shared
+    :data:`NULL_COLLECTOR` cannot accumulate state across runs.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.records: List[TraceRecord] = []
-        self._subscribers: List[Callable[[TraceRecord], None]] = []
         # (category, event) -> records.  Lists share the TraceRecord
         # objects with ``records``; only the list overhead is
         # duplicated.
@@ -125,31 +124,6 @@ class TraceCollector:
             if cat_bucket is None:
                 cat_bucket = by_cat[category] = []
             cat_bucket.append(rec)
-        for sub in self._subscribers:
-            sub(rec)
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for every subsequent record.
-
-        On a disabled collector this is a no-op: nothing will ever be
-        emitted, and retaining callbacks on the module-global
-        :data:`NULL_COLLECTOR` would leak them across runs.
-        """
-        if not self.enabled:
-            return
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
-
-    @property
-    def n_subscribers(self) -> int:
-        """Number of registered callbacks."""
-        return len(self._subscribers)
 
     # -- queries ---------------------------------------------------------
 
@@ -208,19 +182,14 @@ class TraceCollector:
         return float(sum(rec.fields.get(key, 0.0) for rec in base))
 
     def clear(self) -> None:
-        """Drop all collected records (subscribers stay registered)."""
+        """Drop all collected records."""
         self.records.clear()
         self._by_cat_event.clear()
         self._by_category = None
         self._next_id = 0
 
-    def reset(self) -> None:
-        """Drop records *and* subscribers — a fully fresh collector."""
-        self.clear()
-        self._subscribers.clear()
-
 
 #: A collector that drops everything — handy default for benchmarks.
 #: It is shared module-wide, and safe to share because a disabled
-#: collector refuses both records and subscriptions.
+#: collector refuses every record.
 NULL_COLLECTOR = TraceCollector(enabled=False)

@@ -5,7 +5,7 @@ The telemetry layer turns the fire-and-forget trace stream
 
 * :mod:`~repro.telemetry.metrics` — Prometheus-style ``Counter`` /
   ``Gauge`` / ``Histogram`` instruments in a per-run
-  :class:`MetricsRegistry`, derived from trace records;
+  :class:`MetricsRegistry`, derived from the finished trace;
 * :mod:`~repro.telemetry.spans` — hierarchical spans (experiment →
   workflow → job → storage op) with Chrome-trace / JSONL exporters;
 * :mod:`~repro.telemetry.sampler` — fixed-cadence per-node utilization
@@ -23,12 +23,11 @@ from .export import (
     write_metrics,
 )
 from .metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    install_trace_bridge,
+    metrics_from_trace,
 )
 from .render import render_heatmap, render_node_gantt, render_timeline_summary
 from .sampler import Timeline, UtilizationSampler, attach_cluster, node_probes
@@ -50,8 +49,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "install_trace_bridge",
+    "metrics_from_trace",
     "to_prometheus",
     "to_json_snapshot",
     "write_metrics",

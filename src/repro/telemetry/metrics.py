@@ -5,24 +5,20 @@ and :class:`Histogram` instruments.  Every instrument supports labels
 (``node=``, ``storage=``, ``transformation=`` ...): each distinct label
 combination gets its own time series, exactly like Prometheus children.
 
-The registry is threaded through :func:`repro.experiments.run_experiment`
-alongside the :class:`~repro.simcore.tracing.TraceCollector`; the
-standard instruments are derived from the trace stream by
-:func:`install_trace_bridge`, so subsystems need no direct registry
-dependency.  ``snapshot()`` produces the plain-dict form that feeds
-result tables and ``--metrics-out`` JSON.
+Run metrics are not kept live.  :func:`metrics_from_trace` builds the
+standard instruments after the run from the finished
+:class:`~repro.simcore.tracing.TraceCollector`, the way the paper
+builds Table I from recorded task traces, so subsystems need no
+registry dependency.  ``snapshot()`` produces the plain-dict form that
+feeds result tables and ``--metrics-out`` JSON.
 
-A disabled registry (``MetricsRegistry(enabled=False)``, or the shared
-:data:`NULL_REGISTRY`) hands out inert instruments whose mutators
-return immediately — benchmarks pay near-zero overhead.
-
-**Thread safety.**  The default registry is single-threaded: the
-simulation kernel owns its registry outright, and taking a lock on the
-trace bridge's hot path would tax every kernel run for a race it can
-never have.  The multi-threaded *service* stack constructs its
-registries with ``thread_safe=True``: one shared lock then serializes
-every mutator (the unguarded ``d[k] = d.get(k, 0) + v`` read-modify-
-write loses updates under concurrent ``inc``).  The lock is built by
+**Thread safety.**  The default registry is single-threaded: a
+registry built from a trace has one owner, and taking a lock per
+record would tax every derivation for a race it can never have.  The
+multi-threaded *service* stack constructs its registries with
+``thread_safe=True``: one shared lock then serializes every mutator
+(the unguarded ``d[k] = d.get(k, 0) + v`` read-modify-write loses
+updates under concurrent ``inc``).  The lock is built by
 an injectable ``lock_factory`` — the service passes
 :func:`repro.lint.lockwatch.new_lock` so the runtime lock witness sees
 it; this module deliberately never imports the lint package (the lint
@@ -37,7 +33,7 @@ import threading
 from bisect import bisect_left, insort
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..simcore.tracing import TraceCollector, TraceRecord
+from ..simcore.tracing import TraceCollector
 
 #: Canonical sorted-tuple form of a label set (hashable dict key).
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -63,19 +59,18 @@ def _key_dict(key: LabelKey) -> Dict[str, str]:
 class Instrument:
     """Common state of a named, labelled instrument.
 
-    ``lock`` is the registry's shared mutator lock (None on the
-    single-threaded kernel path).  Mutators branch on it rather than
-    unconditionally entering a no-op context manager so the kernel hot
-    path stays a plain dict update.
+    ``lock`` is the registry's shared mutator lock (None in a
+    single-threaded registry).  Mutators branch on it rather than
+    unconditionally entering a no-op context manager so the per-record
+    path of :func:`metrics_from_trace` stays a plain dict update.
     """
 
     kind = "abstract"
 
-    def __init__(self, name: str, help: str = "", enabled: bool = True,
+    def __init__(self, name: str, help: str = "",
                  lock: Optional[Any] = None) -> None:
         self.name = name
         self.help = help
-        self.enabled = enabled
         self._lock = lock
 
     def label_sets(self) -> List[Dict[str, str]]:
@@ -95,15 +90,13 @@ class Counter(Instrument):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "", enabled: bool = True,
+    def __init__(self, name: str, help: str = "",
                  lock: Optional[Any] = None) -> None:
-        super().__init__(name, help, enabled, lock)
+        super().__init__(name, help, lock)
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` (must be >= 0) to the labelled child."""
-        if not self.enabled:
-            return
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease "
                              f"(inc by {amount})")
@@ -119,12 +112,10 @@ class Counter(Instrument):
         """Fast-path ``inc`` taking an already-canonical label key.
 
         ``key`` must be sorted ``((name, str_value), ...)`` — exactly
-        what :func:`_label_key` produces.  Hot subscribers (the trace
-        bridge) build these tuples directly to skip the kwargs dict
-        and canonicalisation on every record.
+        what :func:`_label_key` produces.  :func:`metrics_from_trace`
+        builds these tuples directly to skip the kwargs dict and
+        canonicalisation on every record.
         """
-        if not self.enabled:
-            return
         lock = self._lock
         if lock is None:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -153,15 +144,13 @@ class Gauge(Instrument):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", enabled: bool = True,
+    def __init__(self, name: str, help: str = "",
                  lock: Optional[Any] = None) -> None:
-        super().__init__(name, help, enabled, lock)
+        super().__init__(name, help, lock)
         self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         """Overwrite the labelled child's value."""
-        if not self.enabled:
-            return
         key = _label_key(labels)
         lock = self._lock
         if lock is None:
@@ -172,8 +161,6 @@ class Gauge(Instrument):
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` (may be negative) to the labelled child."""
-        if not self.enabled:
-            return
         key = _label_key(labels)
         lock = self._lock
         if lock is None:
@@ -231,8 +218,8 @@ class Histogram(Instrument):
 
     def __init__(self, name: str, help: str = "",
                  buckets: Optional[Sequence[float]] = None,
-                 enabled: bool = True, lock: Optional[Any] = None) -> None:
-        super().__init__(name, help, enabled, lock)
+                 lock: Optional[Any] = None) -> None:
+        super().__init__(name, help, lock)
         bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram buckets must be strictly increasing")
@@ -250,15 +237,11 @@ class Histogram(Instrument):
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation in the labelled child."""
-        if not self.enabled:
-            return
         self.observe_key(value, _label_key(labels))
 
     def observe_key(self, value: float, key: LabelKey) -> None:
         """Fast-path ``observe`` taking an already-canonical label key
         (see :meth:`Counter.inc_key`)."""
-        if not self.enabled:
-            return
         lock = self._lock
         if lock is None:
             self._observe_locked(value, key)
@@ -362,13 +345,11 @@ class MetricsRegistry:
     instrument creation and every mutator; ``lock_factory`` (called as
     ``lock_factory("metrics.registry")``) lets the service inject a
     witness-instrumented lock without telemetry importing the lint
-    package.  The default stays lock-free for the kernel (see module
-    docstring).
+    package.  The default stays lock-free (see module docstring).
     """
 
-    def __init__(self, enabled: bool = True, thread_safe: bool = False,
+    def __init__(self, thread_safe: bool = False,
                  lock_factory: Optional[Callable[[str], Any]] = None) -> None:
-        self.enabled = enabled
         self.thread_safe = thread_safe
         if thread_safe:
             self._lock = (lock_factory("metrics.registry")
@@ -393,8 +374,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as "
                     f"{existing.kind}, not {cls.kind}")
             return existing
-        inst = cls(name, help=help, enabled=self.enabled, lock=self._lock,
-                   **kwargs)
+        inst = cls(name, help=help, lock=self._lock, **kwargs)
         self._instruments[name] = inst
         return inst
 
@@ -457,23 +437,17 @@ class MetricsRegistry:
         return rows
 
 
-#: Shared inert registry for benchmarks (mirrors ``NULL_COLLECTOR``).
-NULL_REGISTRY = MetricsRegistry(enabled=False)
+# ------------------------------------------------------ trace -> metrics
 
+def metrics_from_trace(trace: TraceCollector) -> MetricsRegistry:
+    """The standard instrument catalog, derived from a finished trace.
 
-# --------------------------------------------------------------- bridge
-
-def install_trace_bridge(registry: MetricsRegistry,
-                         trace: TraceCollector) -> None:
-    """Derive the standard instrument catalog from the trace stream.
-
-    Subscribes to ``trace`` and folds every record into counters and
-    histograms, labelled by node / storage system / transformation.
-    See ``docs/observability.md`` for the full catalog.
+    Folds every record of ``trace`` into counters and histograms,
+    labelled by node / storage system / transformation — a pure
+    function of the record list.  See ``docs/observability.md`` for
+    the full catalog.
     """
-    if not (registry.enabled and trace.enabled):
-        return
-
+    registry = MetricsRegistry()
     tasks_started = registry.counter(
         "tasks_started_total", "task attempts begun, by node/executable")
     tasks_completed = registry.counter(
@@ -510,12 +484,12 @@ def install_trace_bridge(registry: MetricsRegistry,
         "storage_retry_delay_seconds",
         "backoff delays taken by storage clients before retrying")
 
-    # The bridge sees every trace record (hundreds of thousands per
-    # cell), so it builds canonical label keys directly — tuple labels
-    # pre-sorted by name, values already strings — and feeds them to
-    # the ``*_key`` fast paths, skipping the kwargs/canonicalisation
-    # machinery of the public ``inc``/``observe``.
-    def on_record(rec: TraceRecord) -> None:
+    # A trace holds hundreds of thousands of records per cell, so the
+    # loop builds canonical label keys directly — tuple labels pre-sorted
+    # by name, values already strings — and feeds them to the ``*_key``
+    # fast paths, skipping the kwargs/canonicalisation machinery of the
+    # public ``inc``/``observe``.
+    for rec in trace.records:
         cat, ev, f = rec.category, rec.event, rec.fields
         if cat == "task":
             node = f.get("node", "?")
@@ -560,5 +534,4 @@ def install_trace_bridge(registry: MetricsRegistry,
             if ev == "storage_retry":
                 storage_retry_delay.observe_key(
                     f.get("delay", 0.0), (("op", f.get("op", "?")),))
-
-    trace.subscribe(on_record)
+    return registry

@@ -47,12 +47,18 @@ class TestRecorder:
             FlightRecorder(capacity=0)
 
     def test_external_collector_adopted(self):
-        from repro.simcore.tracing import TraceCollector
-        trace = TraceCollector()
-        rec = FlightRecorder(capacity=8, trace=trace)
-        assert rec.trace is trace
-        trace.emit(0.0, "task", "start", node="n0", transformation="t")
-        assert rec.n_seen == 1
+        # run_experiment records into the recorder's collector even when
+        # the cell keeps no trace of its own.
+        from repro.apps import build_synthetic
+        from repro.experiments import run_experiment
+        rec = FlightRecorder(capacity=8)
+        workflow = build_synthetic(10, width=2, seed=1)
+        result = run_experiment(ExperimentConfig("synthetic", "local", 1),
+                                workflow=workflow, trace=rec.trace)
+        assert result.trace is None and result.metrics is None
+        assert rec.n_seen == len(rec.trace.records) > len(rec.ring_rows()) == 8
+        completed = rec.metrics.counter("tasks_completed_total")
+        assert completed.total() == len(workflow.tasks)
 
 
 class TestBundle:

@@ -39,59 +39,10 @@ def test_disabled_collector_drops_everything():
     assert len(NULL_COLLECTOR) == 0
 
 
-def test_subscribe_sees_records():
-    tc = TraceCollector()
-    seen = []
-    tc.subscribe(seen.append)
-    tc.emit(0.0, "a", "x", v=3)
-    assert len(seen) == 1 and seen[0].get("v") == 3
-
-
-def test_clear_keeps_subscribers():
-    tc = TraceCollector()
-    seen = []
-    tc.subscribe(seen.append)
-    tc.emit(0.0, "a", "x")
-    tc.clear()
-    assert len(tc) == 0
-    tc.emit(1.0, "a", "y")
-    assert len(seen) == 2
-
-
 def test_record_get_default():
     tc = TraceCollector()
     tc.emit(0.0, "a", "x")
     assert tc.records[0].get("missing", 42) == 42
-
-
-def test_reset_drops_records_and_subscribers():
-    tc = TraceCollector()
-    seen = []
-    tc.subscribe(seen.append)
-    tc.emit(0.0, "a", "x")
-    tc.reset()
-    assert len(tc) == 0
-    assert tc.n_subscribers == 0
-    tc.emit(1.0, "a", "y")
-    assert len(seen) == 1  # only the pre-reset record was delivered
-
-
-def test_unsubscribe_removes_callback():
-    tc = TraceCollector()
-    seen = []
-    tc.subscribe(seen.append)
-    tc.unsubscribe(seen.append)
-    tc.unsubscribe(seen.append)  # absent callback is a no-op
-    tc.emit(0.0, "a", "x")
-    assert seen == []
-
-
-def test_null_collector_rejects_subscriptions():
-    """Subscribing to the shared NULL_COLLECTOR must not retain the
-    callback — it would leak across every untraced run."""
-    before = NULL_COLLECTOR.n_subscribers
-    NULL_COLLECTOR.subscribe(lambda rec: None)
-    assert NULL_COLLECTOR.n_subscribers == before == 0
 
 
 def test_clear_drops_indexes_with_records():

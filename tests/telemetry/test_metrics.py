@@ -1,4 +1,4 @@
-"""Tests for the metric instruments and the trace->metrics bridge."""
+"""Tests for the metric instruments and the trace->metrics derivation."""
 
 import json
 
@@ -6,12 +6,11 @@ import pytest
 
 from repro.simcore.tracing import TraceCollector
 from repro.telemetry.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    install_trace_bridge,
+    metrics_from_trace,
 )
 
 
@@ -175,26 +174,10 @@ def test_registry_summary_rows():
                      "labels": "node=n0,op=read", "value": 2.0}]
 
 
-def test_disabled_registry_instruments_are_inert():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("ops_total")
-    c.inc(5.0, node="n0")
-    g = reg.gauge("depth")
-    g.set(3.0)
-    h = reg.histogram("dur")
-    h.observe(1.0)
-    assert c.total() == 0.0
-    assert g.value() == 0.0
-    assert h.count() == 0
-    assert NULL_REGISTRY.enabled is False
-
-
-# ------------------------------------------------------------------ bridge
+# ------------------------------------------------------ trace -> metrics
 
 def test_bridge_folds_trace_records_into_instruments():
     trace = TraceCollector()
-    reg = MetricsRegistry()
-    install_trace_bridge(reg, trace)
     trace.emit(0.0, "task", "start", node="n0", transformation="mAdd")
     trace.emit(5.0, "task", "end", node="n0", transformation="mAdd",
                duration=5.0)
@@ -205,6 +188,7 @@ def test_bridge_folds_trace_records_into_instruments():
     trace.emit(3.0, "net", "transfer", src="n0", dst="nfs", nbytes=100.0)
     trace.emit(0.0, "schedd", "submit", task="t1")
     trace.emit(9.0, "vm", "terminate", node="n0")
+    reg = metrics_from_trace(trace)
 
     assert reg.counter("tasks_started_total").value(
         node="n0", transformation="mAdd") == 1
@@ -220,15 +204,6 @@ def test_bridge_folds_trace_records_into_instruments():
     assert reg.counter("net_bytes_total").value(src="n0", dst="nfs") == 100.0
     assert reg.counter("schedd_submits_total").value() == 1
     assert reg.counter("vm_terminations_total").value() == 1
-
-
-def test_bridge_is_noop_when_either_side_disabled():
-    trace = TraceCollector()
-    install_trace_bridge(NULL_REGISTRY, trace)
-    assert trace.n_subscribers == 0
-    reg = MetricsRegistry()
-    install_trace_bridge(reg, TraceCollector(enabled=False))
-    assert len(reg) == 0
 
 
 # ------------------------------------------------------- export ordering
