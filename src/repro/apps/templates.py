@@ -71,8 +71,3 @@ def app_template(name: str) -> WorkflowTemplate:
                 f"unknown application {name!r}; known: {known}") from None
         tpl = _TEMPLATES[name] = WorkflowTemplate(builder, name=name)
     return tpl
-
-
-def clear_template_cache() -> None:
-    """Drop all cached templates (tests; memory-sensitive callers)."""
-    _TEMPLATES.clear()

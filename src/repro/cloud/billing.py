@@ -81,11 +81,6 @@ class BillingMeter:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def intervals(self) -> List[UsageInterval]:
-        """All recorded usage intervals."""
-        return list(self._intervals)
-
     def resource_cost(self, at: Optional[float] = None) -> CostBreakdown:
         """Charges for all usage, per-hour (rounded up) and per-second.
 

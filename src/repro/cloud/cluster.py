@@ -36,18 +36,9 @@ class VirtualCluster:
         return self.workers + self.service_nodes
 
     @property
-    def live_workers(self) -> List[VMInstance]:
-        """Workers that have not crashed or been terminated."""
-        return [w for w in self.workers if w.is_alive]
-
-    @property
     def total_slots(self) -> int:
         """Total Condor slots across workers."""
         return sum(w.itype.cores for w in self.workers)
-
-    def worker(self, index: int) -> VMInstance:
-        """The ``index``-th worker."""
-        return self.workers[index]
 
     def __len__(self) -> int:
         return len(self.workers)

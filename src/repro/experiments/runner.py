@@ -245,9 +245,7 @@ def run_experiment(config: ExperimentConfig,
     cloud.terminate_all()
     spans.end(exp_span)
 
-    stored_gb = workflow.total_files_bytes() / 1e9 \
-        if hasattr(workflow, "total_files_bytes") else \
-        sum(m.size for m in workflow.files.values()) / 1e9
+    stored_gb = sum(m.size for m in workflow.files.values()) / 1e9
     cost = compute_cost(
         cloud.billing, storage.stats, storage.name,
         makespan=run.makespan, stored_gb=stored_gb, at=env.now,

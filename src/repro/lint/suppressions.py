@@ -72,10 +72,6 @@ class SuppressionMap:
             return False
         return rules is ALL_RULES or "*" in rules or rule_id in rules
 
-    def rules_at(self, line: int) -> Optional[FrozenSet[str]]:
-        """The rule set suppressed at ``line`` (None = no directive)."""
-        return self._by_line.get(line)
-
     def guard_at(self, line: int) -> Optional[str]:
         """The ``guarded-by`` lock named at ``line`` (None = none)."""
         return self._guards.get(line)

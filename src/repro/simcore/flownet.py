@@ -106,7 +106,7 @@ class _Flow:
     """
 
     __slots__ = ("net", "fid", "links", "event", "max_rate", "eps",
-                 "_stamp", "_frozen", "_srate", "_dead_rate", "_dead_bytes")
+                 "_stamp", "_frozen", "_srate", "_dead_rate")
 
     def __init__(self, net: "FlowNetwork", links: Sequence[Link],
                  event: Event, max_rate: Optional[float], eps: float) -> None:
@@ -120,18 +120,9 @@ class _Flow:
         self._stamp = 0
         self._frozen = False
         self._srate = 0.0
-        # Final values stashed at completion so late readers (telemetry
-        # holding a handle) keep seeing the last live state.
+        # Final rate stashed at completion so late readers (telemetry
+        # holding a handle) keep seeing the last live rate.
         self._dead_rate = 0.0
-        self._dead_bytes = 0.0
-
-    @property
-    def bytes_left(self) -> float:
-        net = self.net
-        pos = net._pos_of_id[self.fid]
-        if pos < 0:
-            return self._dead_bytes
-        return float(net._f_bytes[pos])
 
     @property
     def rate(self) -> float:
@@ -396,12 +387,10 @@ class FlowNetwork:
         """
         handles = self._handles
         pos_of = self._pos_of_id
-        fb = self._f_bytes
         fr = self._f_rate
         done = [handles[p] for p in positions]
         for h, p in zip(done, positions):
             h._dead_rate = float(fr[p])
-            h._dead_bytes = float(fb[p])
             pos_of[h.fid] = -1
         n = self._n
         k = len(positions)

@@ -148,11 +148,6 @@ class Workflow:
                 f"workflow {self.name!r} is frozen; instantiate a fresh "
                 f"copy to modify it")
 
-    @property
-    def frozen(self) -> bool:
-        """True once :meth:`freeze` has sealed the graph."""
-        return self._frozen
-
     def freeze(self) -> "Workflow":
         """Seal the graph: validate once, precompute the parent map.
 
