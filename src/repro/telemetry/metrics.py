@@ -5,12 +5,11 @@ and :class:`Histogram` instruments.  Every instrument supports labels
 (``node=``, ``storage=``, ``transformation=`` ...): each distinct label
 combination gets its own time series, exactly like Prometheus children.
 
-Run metrics are not kept live.  :func:`metrics_from_trace` builds the
-standard instruments after the run from the finished
-:class:`~repro.simcore.tracing.TraceCollector`, the way the paper
-builds Table I from recorded task traces, so subsystems need no
-registry dependency.  ``snapshot()`` produces the plain-dict form that
-feeds result tables and ``--metrics-out`` JSON.
+:func:`metrics_from_trace` builds the standard instruments after the
+run from the finished :class:`~repro.simcore.tracing.TraceCollector`,
+the way the paper builds Table I from recorded task traces, so
+subsystems need no registry dependency.  ``snapshot()`` produces the
+plain-dict form that feeds result tables and ``--metrics-out`` JSON.
 
 **Thread safety.**  The default registry is single-threaded: a
 registry built from a trace has one owner, and taking a lock per
