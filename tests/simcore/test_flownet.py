@@ -234,3 +234,21 @@ def test_work_conservation_on_shared_link():
     env.run()
     # Link busy the whole time -> last completion = total bytes / capacity.
     assert max(last) == pytest.approx(sum(sizes) / 10.0)
+
+
+def test_finished_flow_keeps_its_last_rate():
+    """A completed flow's ``rate`` is its last live rate, and reading it
+    runs the reallocation its completion left pending."""
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 100.0)
+    short = net.transfer([link], 100.0)
+    net.transfer([link], 1000.0)
+    short_flow, long_flow = net._flows
+    env.run(until=short)
+    assert env.now == pytest.approx(2.0)
+    assert net._dirty  # the completion's refill is still deferred
+    assert short_flow.rate == 50.0
+    assert not net._dirty
+    assert long_flow.rate == 100.0
+    assert short_flow.rate == 50.0
