@@ -18,6 +18,26 @@ NORMAL_PRIORITY = 1
 _INF = float("inf")
 
 
+class _Start:
+    """Heap entry of :meth:`Environment.start_after`: at its time the
+    run loop calls ``_fire``, which starts the operation.  Like a kernel
+    wake (see :meth:`Environment._schedule_wake`), it is dispatched by
+    the ``callbacks is None`` test in the run loop."""
+
+    __slots__ = ("start", "args", "done")
+
+    callbacks = None
+
+    def __init__(self, start: Callable[..., Event], args: Tuple[Any, ...],
+                 done: Event) -> None:
+        self.start = start
+        self.args = args
+        self.done = done
+
+    def _fire(self, seq: int) -> None:
+        self.start(*self.args, done=self.done)
+
+
 class Environment:
     """Holds simulation state and drives event processing.
 
@@ -39,8 +59,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        # Heap entries: (time, priority, sequence, event)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        # Heap entries: (time, priority, sequence, entry), where the
+        # entry is an Event or, with ``callbacks`` None, an object the
+        # run loop fires (see _schedule_wake).
+        self._queue: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         # End-of-timestamp flush hooks (see :meth:`defer`): callbacks
         # that run once the current timestamp's event cascade has fully
@@ -75,13 +97,15 @@ class Environment:
         ``done``, the event the started operation completes.
 
         This is how the disk and network kernels put a fixed latency in
-        front of an operation without a process: the start runs as a
-        timeout callback, the kernel succeeds the caller's event, and
-        the caller can yield it, or combine it with others, at once.
+        front of an operation without a process: the start is a plain
+        heap entry the run loop dispatches, the kernel succeeds the
+        caller's event, and the caller can yield it, or combine it with
+        others, at once.
         """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
         done = Event(self)
-        Timeout(self, delay).callbacks.append(
-            lambda _: start(*args, done=done))
+        self._schedule_wake(_Start(start, args, done), delay)
         return done
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -95,6 +119,23 @@ class Environment:
         seq = self._seq + 1
         self._seq = seq
         _heappush(self._queue, (self._now + delay, priority, seq, event))
+
+    def _schedule_wake(self, kernel: Any, delay: float) -> int:
+        """Push a wake of ``kernel`` ``delay`` from now; return its
+        sequence number.
+
+        The entry is the kernel itself (or a :class:`_Start`), not an
+        event: its class sets ``callbacks = None``, and the run loop
+        calls ``kernel._fire(seq)`` when the entry pops.  A kernel keeps
+        the number of its armed wake and ignores any other, so a
+        superseded wake costs one pop and one compare.  The key is drawn
+        exactly as a :class:`Timeout`'s, so event order is the same as
+        if the wake were one.
+        """
+        seq = self._seq + 1
+        self._seq = seq
+        _heappush(self._queue, (self._now + delay, 1, seq, kernel))
+        return seq
 
     # -- end-of-timestamp flush hooks ---------------------------------------
 
@@ -193,7 +234,12 @@ class Environment:
                 _heappush(queue, (when, prio, seq, event))
                 return
             self._now = when
-            callbacks, event.callbacks = event.callbacks, None
+            callbacks = event.callbacks
+            if callbacks is None:
+                # A kernel wake or a start_after entry.
+                event._fire(seq)
+                continue
+            event.callbacks = None
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:

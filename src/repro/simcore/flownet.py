@@ -1,4 +1,4 @@
-"""Max-min fair flow network (struct-of-arrays kernel).
+"""Max-min fair flow network.
 
 Models a set of capacitated links (NIC transmit/receive sides, a shared
 service endpoint, a core switch) carrying concurrent byte flows.  Each
@@ -13,14 +13,11 @@ stripe traffic, and S3 GET/PUT payloads.
 
 Performance notes (see ``docs/performance.md``):
 
-* Flow state lives in preallocated, growable numpy arrays packed in
-  insertion order (remaining bytes, rate, completion epsilon, rate
-  cap), with a stable-id indirection so a ``_Flow``
-  handle survives compaction when earlier flows complete.  Byte
-  advancement, completion detection, and the wake min-scan are single
-  vectorized passes over the packed arrays; below ``VEC_SCAN_MIN`` live
-  flows they fall back to scalar loops over ``.tolist()`` snapshots
-  with the *same* arithmetic, so both paths are bit-identical.
+* Flow state (bytes left, rate, cap, completion epsilon) lives in slots
+  on each ``_Flow``, and the insertion-ordered ``_flows`` dict is the
+  only registry.  Live populations are small (a handful of flows on
+  the paper grid), so byte advancement with completion detection, and
+  the wake min-scan, are one scalar pass each over that dict.
 * Same-timestamp event cascades are batched: a transfer (or wake) marks
   the network dirty and defers one flush to the environment's
   end-of-timestamp hook (:meth:`Environment.defer`).  Progressive
@@ -40,27 +37,25 @@ Performance notes (see ``docs/performance.md``):
   replayed as per-link sequential clamped subtractions); smaller
   components run the scalar fill.  Both replay the same float-operation
   sequence, so rates are bit-identical either way.
-* Wakeups come from a fused advance/min-scan over live flows, so wake
-  times are bit-reproducible.
+* The wake is a plain heap entry (:meth:`Environment._schedule_wake`)
+  carrying the network itself; a superseded wake pops, fails the
+  sequence check, and counts in ``stale_wakes``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .events import Event, Timeout
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
 _TIME_EPS = 1e-9
 _INF = float("inf")
-
-#: Initial per-network array capacity (rows); doubled on demand.
-_INITIAL_ROWS = 64
 
 
 class Link:
@@ -95,44 +90,37 @@ class Link:
 
 
 class _Flow:
-    """Handle onto one row of the network's packed arrays.
+    """One in-flight flow: its route, its cap and its mutable state.
 
-    The mutable per-flow state (remaining bytes, rate) lives in
-    :class:`FlowNetwork`'s arrays, reached through the stable id
-    ``fid``; the handle itself only carries the immutable description
-    plus scratch slots for traversal/fill passes.  Reading ``rate``
-    flushes a pending batched reallocation first, so samplers observing
-    mid-cascade see the same rates a fill per event would give.
+    ``left`` is the payload still to deliver and ``_rate`` the rate of
+    the last fill; a finished flow keeps its last ``_rate``.  Reading
+    ``rate`` flushes a pending batched reallocation first, so samplers
+    observing mid-cascade see the same rates a fill per event would give.
     """
 
-    __slots__ = ("net", "fid", "links", "event", "max_rate", "eps",
-                 "_stamp", "_frozen", "_srate", "_dead_rate")
+    __slots__ = ("net", "links", "event", "cap", "eps", "left", "_rate",
+                 "_stamp", "_frozen")
 
     def __init__(self, net: "FlowNetwork", links: Sequence[Link],
-                 event: Event, max_rate: Optional[float], eps: float) -> None:
+                 event: Event, max_rate: Optional[float], nbytes: float,
+                 eps: float) -> None:
         self.net = net
-        self.fid = -1  # assigned on registration
         self.links = list(links)
         self.event = event
-        self.max_rate = max_rate
+        self.cap = _INF if max_rate is None else float(max_rate)
         self.eps = eps
+        self.left = nbytes
+        self._rate = 0.0
         # Traversal stamp and fill scratch (see FlowNetwork._stamp_seq).
         self._stamp = 0
         self._frozen = False
-        self._srate = 0.0
-        # Final rate stashed at completion so late readers (telemetry
-        # holding a handle) keep seeing the last live rate.
-        self._dead_rate = 0.0
 
     @property
     def rate(self) -> float:
         net = self.net
         if net._dirty:
             net._flush()
-        pos = net._pos_of_id[self.fid]
-        if pos < 0:
-            return self._dead_rate
-        return float(net._f_rate[pos])
+        return self._rate
 
 
 class FlowNetwork:
@@ -145,22 +133,26 @@ class FlowNetwork:
     """
 
     #: Component size at which the vectorized fill replaces the scalar
-    #: one, and live-flow population at which vectorized advance /
-    #: completion / min-scan passes replace the scalar loops.  Both
-    #: paths are bit-identical; the thresholds are pure speed knobs
-    #: (and test hooks: differential tests pin them to 0 to force the
-    #: vector paths onto tiny populations).
+    #: one.  Both paths are bit-identical; the threshold is a pure speed
+    #: knob (and a test hook: differential tests pin it to 1 to force
+    #: the vector path onto tiny components).
     VEC_FILL_MIN = 32
-    VEC_SCAN_MIN = 16
+
+    #: Heap-entry protocol (see Environment._schedule_wake): the run
+    #: loop calls ``_fire(seq)`` for an entry whose ``callbacks`` is None.
+    callbacks = None
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
+        # The live flows, in insertion order: the order of every scan,
+        # fill and completion, and so of the pinned goldens.
         self._flows: Dict[_Flow, None] = {}
         self._last_update = env.now
-        # Wakeup invalidation by event identity (see FairShareChannel):
-        # only the timeout of the latest reschedule is honoured.
-        self._wake_event: object = None
-        self._wake_cb = self._on_wake
+        # Sequence number of the armed wake; older wakes still in the
+        # heap see a different number and return at once.
+        self._wake_seq = 0
+        #: Wakes that popped after a later reschedule superseded them.
+        self.stale_wakes = 0
         # Monotonic pass id handed to component scans and fills; a
         # link/flow whose ``_stamp`` differs from the current pass id
         # has not been visited by it (no per-call visited sets needed).
@@ -169,21 +161,6 @@ class FlowNetwork:
         self.total_bytes_moved = 0.0
         #: Total flows ever started.
         self.total_flows = 0
-        # -- struct-of-arrays state -----------------------------------
-        # Rows are packed in insertion order; ``_handles`` is the
-        # parallel Python list of _Flow handles.  ``_id_at_pos`` /
-        # ``_pos_of_id`` is the stable-id indirection that survives
-        # compaction (position -1 marks a completed flow).
-        rows = _INITIAL_ROWS
-        self._f_bytes = np.zeros(rows, dtype=np.float64)
-        self._f_rate = np.zeros(rows, dtype=np.float64)
-        self._f_eps = np.zeros(rows, dtype=np.float64)
-        self._f_cap = np.zeros(rows, dtype=np.float64)
-        self._id_at_pos = np.zeros(rows, dtype=np.int64)
-        self._pos_of_id = np.full(rows, -1, dtype=np.int64)
-        self._handles: List[_Flow] = []
-        self._n = 0
-        self._next_fid = 0
         # -- batched-cascade state ------------------------------------
         # ``_dirty`` marks a pending reallocation/reschedule;
         # ``_dirty_seeds`` are the flows whose arrival or completion
@@ -238,55 +215,17 @@ class FlowNetwork:
         # relative residue (~1e-12 of the size), which for GB-scale
         # flows dwarfs any absolute epsilon.
         eps = max(1e-9, nbytes * 1e-9)
-        flow = _Flow(self, links, done, max_rate, eps)
-        pos = self._append(flow, nbytes, eps, max_rate)
+        flow = _Flow(self, links, done, max_rate, nbytes, eps)
         self._flows[flow] = None
         for link in flow.links:
             link._flows[flow] = None
         if nbytes <= eps:
             # Sub-epsilon payload: completes within this same cascade;
             # final rates are as if it never joined.
-            self._complete([pos])
+            self._complete([flow])
         else:
             self._mark_dirty(flow)
         return done
-
-    # -- struct-of-arrays plumbing ------------------------------------------
-
-    def _append(self, flow: _Flow, nbytes: float, eps: float,
-                max_rate: Optional[float]) -> int:
-        n = self._n
-        if n == len(self._f_bytes):
-            self._grow_rows()
-        fid = self._next_fid
-        self._next_fid = fid + 1
-        if fid == len(self._pos_of_id):
-            old = self._pos_of_id
-            grown = np.full(len(old) * 2, -1, dtype=np.int64)
-            grown[:len(old)] = old
-            self._pos_of_id = grown
-        flow.fid = fid
-        self._f_bytes[n] = nbytes
-        self._f_rate[n] = 0.0
-        self._f_eps[n] = eps
-        self._f_cap[n] = _INF if max_rate is None else max_rate
-        self._id_at_pos[n] = fid
-        self._pos_of_id[fid] = n
-        self._handles.append(flow)
-        self._n = n + 1
-        return n
-
-    def _grow_rows(self) -> None:
-        rows = len(self._f_bytes) * 2
-        for name in ("_f_bytes", "_f_rate", "_f_eps", "_f_cap"):
-            old = getattr(self, name)
-            grown = np.zeros(rows, dtype=np.float64)
-            grown[:len(old)] = old
-            setattr(self, name, grown)
-        old = self._id_at_pos
-        grown = np.zeros(rows, dtype=np.int64)
-        grown[:len(old)] = old
-        self._id_at_pos = grown
 
     # -- batched-cascade plumbing -------------------------------------------
 
@@ -313,10 +252,9 @@ class FlowNetwork:
         self._dirty = False
         seeds = self._dirty_seeds
         self._dirty_seeds = []
-        if self._n and seeds:
-            positions, handles = self._component(seeds)
-            self._fill(positions, handles)
-        if self._n:
+        if self._flows:
+            if seeds:
+                self._fill(self._component(seeds))
             self._reschedule_exact()
 
     # -- internals -----------------------------------------------------------
@@ -325,117 +263,61 @@ class FlowNetwork:
         """Advance all flows to ``now`` and complete the finished ones.
 
         The first touch of each timestamp does the real work; later
-        same-timestamp calls see ``elapsed == 0`` and return.  Byte
-        accounting uses a strictly sequential accumulation
-        (``np.add.accumulate``) in insertion order, so the vector path
-        reproduces the scalar float sums bit-for-bit.
+        same-timestamp calls see ``elapsed == 0`` and return.  Bytes
+        are summed in insertion order, so the total is reproducible.
         """
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed <= 0:
+        if elapsed <= 0 or not self._flows:
             return
-        n = self._n
-        if not n:
-            return
-        fb = self._f_bytes
-        fr = self._f_rate
-        if n >= self.VEC_SCAN_MIN:
-            lefts = fb[:n].copy()
-            moved = fr[:n] * elapsed
-            np.subtract(lefts, moved, out=fb[:n])
-            # Clamp the delivered-bytes counter to what each flow
+        total = self.total_bytes_moved
+        finished = None
+        for flow in self._flows:
+            left = flow.left
+            moved = flow._rate * elapsed
+            new_left = left - moved
+            flow.left = new_left
+            # Clamp the delivered-bytes counter to what the flow
             # actually had left (the final wake routinely lands a hair
-            # past the true finish), then accumulate sequentially.
-            acc = np.empty(n + 1, dtype=np.float64)
-            acc[0] = self.total_bytes_moved
-            np.minimum(moved, np.maximum(lefts, 0.0), out=acc[1:])
-            self.total_bytes_moved = float(np.add.accumulate(acc)[-1])
-            hits = np.nonzero(fb[:n] <= self._f_eps[:n])[0]
-            finished = hits.tolist() if hits.size else None
-        else:
-            rates = fr[:n].tolist()
-            lefts_l = fb[:n].tolist()
-            eps_l = self._f_eps[:n].tolist()
-            total = self.total_bytes_moved
-            finished = None
-            for i in range(n):
-                left = lefts_l[i]
-                moved = rates[i] * elapsed
-                new_left = left - moved
-                lefts_l[i] = new_left
-                if moved > left:
-                    moved = left if left > 0.0 else 0.0
-                total += moved
-                if new_left <= eps_l[i]:
-                    if finished is None:
-                        finished = [i]
-                    else:
-                        finished.append(i)
-            fb[:n] = lefts_l
-            self.total_bytes_moved = total
+            # past the true finish).
+            if moved > left:
+                moved = left if left > 0.0 else 0.0
+            total += moved
+            if new_left <= flow.eps:
+                if finished is None:
+                    finished = [flow]
+                else:
+                    finished.append(flow)
+        self.total_bytes_moved = total
         if finished:
             self._complete(finished)
 
-    def _complete(self, positions: List[int]) -> None:
-        """Finish the flows at ``positions`` (ascending insertion order).
+    def _complete(self, finished: List[_Flow]) -> None:
+        """Finish ``finished`` (in insertion order).
 
-        Pops them from the registry and their links, compacts the
-        packed arrays, fires their events in insertion order (the order
-        the pinned hash-chain goldens record), and seeds the deferred
-        refill with the dead flows as traversal roots.
+        Pops each flow from the registry and its links, fires its event
+        (the order the pinned hash-chain goldens record), and seeds the
+        deferred refill with it as a traversal root.
         """
-        handles = self._handles
-        pos_of = self._pos_of_id
-        fr = self._f_rate
-        done = [handles[p] for p in positions]
-        for h, p in zip(done, positions):
-            h._dead_rate = float(fr[p])
-            pos_of[h.fid] = -1
-        n = self._n
-        k = len(positions)
-        nn = n - k
-        arrays = (self._f_bytes, self._f_rate, self._f_eps, self._f_cap,
-                  self._id_at_pos)
-        if nn == 0:
-            del handles[:]
-        elif k == 1:
-            p = positions[0]
-            for arr in arrays:
-                arr[p:nn] = arr[p + 1:n]
-            del handles[p]
-            if p < nn:
-                pos_of[self._id_at_pos[p:nn]] = np.arange(p, nn)
-        else:
-            keep = np.ones(n, dtype=bool)
-            keep[positions] = False
-            for arr in arrays:
-                arr[:nn] = arr[:n][keep]
-            for p in reversed(positions):
-                del handles[p]
-            p0 = positions[0]
-            if p0 < nn:
-                pos_of[self._id_at_pos[p0:nn]] = np.arange(p0, nn)
-        self._n = nn
         flows = self._flows
-        for h in done:
-            del flows[h]
-            for link in h.links:
-                link._flows.pop(h, None)
-            h.event.succeed()
-            self._mark_dirty(h)
+        for flow in finished:
+            del flows[flow]
+            for link in flow.links:
+                link._flows.pop(flow, None)
+            flow.event.succeed()
+            self._mark_dirty(flow)
 
-    def _component(self, seeds: Sequence[_Flow]
-                   ) -> Tuple[Optional[List[int]], List[_Flow]]:
-        """Live flows connected to ``seeds`` through shared links.
+    def _component(self, seeds: Sequence[_Flow]) -> List[_Flow]:
+        """Live flows connected to ``seeds`` through shared links, in
+        insertion order.
 
-        Returns ``(positions, handles)`` in insertion (packed) order;
-        ``positions is None`` means the whole network was touched (the
-        common star-topology case), letting fills skip the gather.
         Seeds may be just-finished flows (traversal roots only).
         Visited links and flows are stamp-marked with a fresh pass id,
         so the scan allocates only the pending stack and the traversal
-        order never leaks into the result.
+        order never leaks into the result.  Once the scan has counted
+        as many flows as are live, the whole network is returned
+        without a second pass (the common star-topology case).
         """
         sid = self._stamp_seq = self._stamp_seq + 1
         pending: List[Link] = []
@@ -459,62 +341,41 @@ class FlowNetwork:
                             nxt._stamp = sid
                             pending.append(nxt)
         if nseen >= len(self._flows):
-            return None, self._handles
-        positions: List[int] = []
-        members: List[_Flow] = []
-        for i, h in enumerate(self._handles):
-            if h._stamp == sid:
-                positions.append(i)
-                members.append(h)
-        return positions, members
+            return list(self._flows)
+        return [h for h in self._flows if h._stamp == sid]
 
     # -- progressive filling --------------------------------------------------
 
-    def _fill(self, positions: Optional[List[int]],
-              handles: List[_Flow]) -> None:
-        """Progressive filling to the max-min fair allocation.
-
-        ``positions is None`` refills the whole network; otherwise the
-        fill is restricted to one connected component (rates of flows
-        outside it are left untouched).
-        """
-        count = len(handles)
+    def _fill(self, flows: List[_Flow]) -> None:
+        """Progressive filling to the max-min fair allocation of
+        ``flows``, one connected component or the whole network (rates
+        of flows outside it are left untouched)."""
+        count = len(flows)
         if count == 0:
             return
         if count == 1:
             # Singleton fill (no contention): rate is the tightest of
             # the link capacities and the per-flow cap — the exact
             # value one loop iteration of the general fill produces.
-            h = handles[0]
-            pos = 0 if positions is None else positions[0]
+            h = flows[0]
             share = _INF
             for link in h.links:
                 if link.capacity < share:
                     share = link.capacity
-            cap = h.max_rate
-            if cap is not None and cap < share:
-                rate = cap
-            elif share < _INF:
-                rate = share
-            else:
-                rate = cap or _INF
-            self._f_rate[pos] = rate
+            h._rate = h.cap if h.cap < share else share
             return
         if count < self.VEC_FILL_MIN:
-            rates = self._fill_scalar(handles)
+            self._fill_scalar(flows)
         else:
-            rates = self._fill_vector(handles, positions)
-        if positions is None:
-            self._f_rate[:count] = rates
-        else:
-            self._f_rate[np.asarray(positions, dtype=np.int64)] = rates
+            for h, rate in zip(flows, self._fill_vector(flows).tolist()):
+                h._rate = rate
 
-    def _fill_scalar(self, flow_list: List[_Flow]) -> List[float]:
-        """In-place progressive filling over the flow handles.
+    def _fill_scalar(self, flow_list: List[_Flow]) -> None:
+        """In-place progressive filling over the flows; writes each
+        flow's ``_rate``.
 
-        Scratch state lives on the links/handles, claimed by stamping
-        with a fresh pass id; rates are collected into scratch slots and
-        scatter-written by the caller.  Iteration order fixes every
+        Scratch state lives on the links/flows, claimed by stamping
+        with a fresh pass id.  Iteration order fixes every
         float operation, and with it the pinned rate goldens: flow order
         is insertion order, link order is first-encounter order over the
         flows' links, and the freeze scan walks ``link._flows``.
@@ -522,7 +383,6 @@ class FlowNetwork:
         fid = self._stamp_seq = self._stamp_seq + 1
         links: List[Link] = []
         for h in flow_list:
-            h._srate = 0.0
             h._frozen = False
             for link in h.links:
                 if link._stamp != fid:
@@ -547,12 +407,12 @@ class FlowNetwork:
             capped_any = False
             for h in flow_list:
                 if not h._frozen:
-                    cap = h.max_rate
-                    if cap is not None and cap < bottleneck_share:
+                    cap = h.cap
+                    if cap < bottleneck_share:
                         capped_any = True
                         h._frozen = True
                         remaining -= 1
-                        h._srate = cap
+                        h._rate = cap
                         for link in h.links:
                             r = link._residual - cap
                             link._residual = r if r > 0.0 else 0.0
@@ -566,7 +426,7 @@ class FlowNetwork:
                     if not h._frozen:
                         h._frozen = True
                         remaining -= 1
-                        h._srate = h.max_rate or _INF
+                        h._rate = h.cap
                 break
             # Freeze every unfrozen flow on a bottleneck link.  Flows
             # outside this fill's component can never appear on a
@@ -581,7 +441,7 @@ class FlowNetwork:
                         if not h._frozen:
                             h._frozen = True
                             remaining -= 1
-                            h._srate = bottleneck_share
+                            h._rate = bottleneck_share
                             for lnk in h.links:
                                 r = lnk._residual - bottleneck_share
                                 lnk._residual = r if r > 0.0 else 0.0
@@ -592,11 +452,9 @@ class FlowNetwork:
                     if not h._frozen:
                         h._frozen = True
                         remaining -= 1
-                        h._srate = bottleneck_share
-        return [h._srate for h in flow_list]
+                        h._rate = bottleneck_share
 
-    def _fill_vector(self, handles: List[_Flow],
-                     positions: Optional[List[int]]) -> np.ndarray:
+    def _fill_vector(self, handles: List[_Flow]) -> np.ndarray:
         """Vectorized progressive filling over a large component.
 
         Bit-identical to :meth:`_fill_scalar` by construction: the
@@ -628,10 +486,7 @@ class FlowNetwork:
         res = np.array([link.capacity for link in link_objs],
                        dtype=np.float64)
         cnt = np.bincount(np.asarray(flat, dtype=np.int64), minlength=nl)
-        if positions is None:
-            caps = self._f_cap[:nf].copy()
-        else:
-            caps = self._f_cap[np.asarray(positions, dtype=np.int64)]
+        caps = np.array([h.cap for h in handles], dtype=np.float64)
         rates = np.zeros(nf, dtype=np.float64)
         frozen = np.zeros(nf, dtype=bool)
         findex = {h: i for i, h in enumerate(handles)}
@@ -707,38 +562,23 @@ class FlowNetwork:
     # -- completion scheduling ------------------------------------------------
 
     def _reschedule_exact(self) -> None:
-        n = self._n
-        if n >= self.VEC_SCAN_MIN:
-            fr = self._f_rate[:n]
-            mask = fr > 0.0
-            if mask.all():
-                rem = self._f_bytes[:n] / fr
-            elif mask.any():
-                rem = self._f_bytes[:n][mask] / fr[mask]
-            else:  # pragma: no cover - all flows stalled
-                return
-            next_in = float(rem.min())
-        else:
-            rates = self._f_rate[:n].tolist()
-            lefts = self._f_bytes[:n].tolist()
-            next_in = -1.0
-            for i in range(n):
-                rate = rates[i]
-                if rate > 0.0:
-                    remaining = lefts[i] / rate
-                    if next_in < 0.0 or remaining < next_in:
-                        next_in = remaining
-            if next_in < 0.0:  # pragma: no cover - all flows stalled
-                return
+        next_in = -1.0
+        for flow in self._flows:
+            rate = flow._rate
+            if rate > 0.0:
+                remaining = flow.left / rate
+                if next_in < 0.0 or remaining < next_in:
+                    next_in = remaining
+        if next_in < 0.0:  # pragma: no cover - all flows stalled
+            return
         # Floor the delay so the clock always advances between wakeups
         # (a zero-elapsed wake would make no progress and spin).
-        wake = Timeout(self.env, max(next_in, 1e-9))
-        self._wake_event = wake
-        wake.callbacks.append(self._wake_cb)
+        self._wake_seq = self.env._schedule_wake(self, max(next_in, 1e-9))
 
-    def _on_wake(self, event: object) -> None:
-        if event is not self._wake_event:
-            return  # superseded by a newer reschedule
+    def _fire(self, seq: int) -> None:
+        if seq != self._wake_seq:
+            self.stale_wakes += 1  # superseded by a newer reschedule
+            return
         self._sync()
         # Always refresh the wake on every valid wake (the pinned
         # goldens depend on it); completions seeded their own refill above.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Optional
 
-from .events import Event, Timeout
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -53,6 +53,10 @@ class FairShareChannel:
     bytes-per-second capacity.
     """
 
+    #: Heap-entry protocol (see Environment._schedule_wake): the run
+    #: loop calls ``_fire(seq)`` for an entry whose ``callbacks`` is None.
+    callbacks = None
+
     def __init__(self, env: "Environment", name: str = "channel",
                  contention_beta: float = 0.0,
                  contention_gamma: float = 1.0,
@@ -86,13 +90,12 @@ class FairShareChannel:
         self._min_left = math.inf
         self._next_id = 0
         self._last_update = env.now
-        # Wakeup invalidation by event identity: `_wake_event` is the
-        # timeout of the *latest* reschedule, and the single persistent
-        # callback ignores any older timeout that still fires.  This
-        # replaces a per-reschedule token lambda (one closure allocation
-        # per population change) with a plain identity check.
-        self._wake_event: object = None
-        self._wake_cb = self._on_wake
+        # Sequence number of the armed wake: the channel itself is the
+        # heap entry, and a wake whose number differs was superseded by
+        # a later reschedule and returns at once.
+        self._wake_seq = 0
+        #: Wakes that popped after a later reschedule superseded them.
+        self.stale_wakes = 0
         # Batched same-timestamp cascades (mirrors FlowNetwork): a
         # population change defers one reschedule to the environment's
         # end-of-timestamp hook instead of rescheduling per submit.
@@ -214,12 +217,11 @@ class FairShareChannel:
             return
         # Floor the delay so the clock always advances between wakeups.
         delay = max(self._min_left * n / self._service_rate(n), 1e-9)
-        wake = Timeout(self.env, delay)
-        self._wake_event = wake
-        wake.callbacks.append(self._wake_cb)
+        self._wake_seq = self.env._schedule_wake(self, delay)
 
-    def _on_wake(self, event: object) -> None:
-        if event is not self._wake_event:
-            return  # population changed since this wakeup was scheduled
+    def _fire(self, seq: int) -> None:
+        if seq != self._wake_seq:
+            self.stale_wakes += 1  # population changed since scheduled
+            return
         self._advance()
         self.env.defer(self._flush_bound)

@@ -1,4 +1,4 @@
-"""Differential tests for the struct-of-arrays flow-network kernel.
+"""Differential tests for the flow-network kernel.
 
 The kernel in :mod:`repro.simcore.flownet` claims *bit identity*
 between its scalar and vectorized code paths, and with committed
@@ -6,8 +6,8 @@ goldens.  These tests pin that claim three independent ways:
 
 * randomized topologies — steady-state rates and churn completion
   times must agree exactly (``==``, not approx) between the scalar and
-  vectorized paths (thresholds pinned low to force the vector paths on
-  small populations) and hash to the committed digests; steady rates
+  vectorized fills (the threshold pinned low to force the vector fill
+  on small components) and hash to the committed digests; steady rates
   must also match an independent brute-force water-filler
   approximately;
 * the 20 golden end-to-end scenarios must reproduce their committed
@@ -77,12 +77,11 @@ def _digest(value):
 
 
 def _scalar_and_vector(run, monkeypatch):
-    """``run()`` with the default thresholds, then with them pinned so
-    even tiny populations take the vectorized sync/fill paths; the two
-    results must be bit-identical."""
+    """``run()`` with the default threshold, then with it pinned so even
+    tiny components take the vectorized fill; the two results must be
+    bit-identical."""
     scalar = run()
     monkeypatch.setattr(FlowNetwork, "VEC_FILL_MIN", 1)
-    monkeypatch.setattr(FlowNetwork, "VEC_SCAN_MIN", 1)
     vector = run()
     monkeypatch.undo()
     assert scalar == vector
